@@ -25,7 +25,7 @@ from .spec import (
     loads_scenario,
 )
 from .checks import CHECKS, CheckContext, check_names, run_checks
-from .runner import failure_signature, run_spec
+from .runner import ScenarioOutcome, failure_signature, run_spec
 from .corpus import (
     CorpusReplay,
     corpus_files,
@@ -34,10 +34,11 @@ from .corpus import (
     replay_file,
     save_regression,
     save_scenario,
+    scenario_names,
+    scenario_path,
 )
 from .shrink import ShrinkResult, shrink
 from .fuzz import FuzzFinding, FuzzReport, draw_spec, fuzz
-from .legacy import legacy_specs
 
 __all__ = [
     "SCENARIO_SCHEMA",
@@ -60,6 +61,7 @@ __all__ = [
     "CheckContext",
     "check_names",
     "run_checks",
+    "ScenarioOutcome",
     "failure_signature",
     "run_spec",
     "CorpusReplay",
@@ -69,11 +71,12 @@ __all__ = [
     "replay_file",
     "save_regression",
     "save_scenario",
+    "scenario_names",
+    "scenario_path",
     "ShrinkResult",
     "shrink",
     "FuzzFinding",
     "FuzzReport",
     "draw_spec",
     "fuzz",
-    "legacy_specs",
 ]

@@ -2,24 +2,72 @@
 
 Each check is a small function over the finished run's
 :class:`CheckContext` — the payload, the live bed/topology, and any
-fault objects the runner installed — returning the same
-:class:`~repro.faults.scenarios.Invariant` rows the hand-written chaos
-scenarios produce, under the same names.  A ``scenario.json`` lists the
-checks it wants in order; unknown names fail at load time.
-
-The registry deliberately mirrors the six legacy scenarios' invariants
-one-for-one, so those scenarios re-express as corpus files without the
-verdict surface changing shape.
+fault objects the runner installed — returning :class:`Invariant` rows.
+A ``scenario.json`` lists the checks it wants in order; unknown names
+fail at load time.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from ..errors import ConfigError
-from ..faults.scenarios import Invariant, _stability_invariants
 
-__all__ = ["CheckContext", "CHECKS", "run_checks", "check_names"]
+__all__ = ["Invariant", "CheckContext", "CHECKS", "run_checks", "check_names"]
+
+
+@dataclass
+class Invariant:
+    """One audited verdict row: a name, pass/fail, and a diagnostic."""
+
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+def _stability_invariants(payload: Dict[str, Any], file_bytes: int) -> List[Invariant]:
+    """The end-state every completed run must reach: all data durable."""
+    return [
+        Invariant(
+            "file-complete",
+            payload["server_file_size"] == file_bytes,
+            f"server size {payload['server_file_size']} != {file_bytes}",
+        ),
+        Invariant(
+            "all-data-stable",
+            payload["server_stable_bytes"] >= file_bytes
+            and payload["server_dirty_bytes"] == 0,
+            f"stable={payload['server_stable_bytes']} "
+            f"dirty={payload['server_dirty_bytes']}",
+        ),
+        Invariant(
+            "client-acked-stable",
+            payload["bytes_acked_stable"] >= file_bytes,
+            f"acked {payload['bytes_acked_stable']} < {file_bytes}",
+        ),
+    ]
+
+
+def _sanitizer_invariants(session) -> List[Invariant]:
+    """Fold a sanitize session's findings into invariant rows.
+
+    Three rows — locks (ordering/deadlock/FIFO/depth), races (unlocked
+    request-list or index mutations), invariants (accounting, durability,
+    wait-queue FIFO) — each ok iff its group found nothing.
+    """
+    groups = session.grouped()
+    rows = []
+    for key in ("locks", "races", "invariants"):
+        findings = groups[key]
+        rows.append(
+            Invariant(
+                f"sanitize-{key}",
+                not findings,
+                "; ".join(str(f) for f in findings[:3]),
+            )
+        )
+    return rows
 
 
 class CheckContext:
@@ -85,7 +133,7 @@ def run_checks(ctx: CheckContext) -> List[Invariant]:
     return rows
 
 
-# -- single-bed checks (the legacy scenario invariants) ------------------------
+# -- single-bed checks ----------------------------------------------------------
 
 
 @_check("loss-injected")
@@ -222,11 +270,12 @@ def _throughput_monotone(ctx, params):
 def _loss_cost_visible(ctx, params):
     elapsed = ctx.sweep_elapsed or []
     ok = len(elapsed) >= 2 and elapsed[-1] > elapsed[0]
+    worst = max(ctx.payload.get("loss_rates") or [0.0])
     return [
         Invariant(
             "loss-cost-visible",
             ok,
-            f"{elapsed and elapsed[-1]} loss no slower than clean run ({elapsed})",
+            f"{worst:.0%} loss no slower than clean run ({elapsed})",
         )
     ]
 

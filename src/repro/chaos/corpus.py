@@ -22,15 +22,17 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ConfigError
-from ..faults.scenarios import ScenarioOutcome
-from .runner import failure_signature, run_spec
+from .runner import ScenarioOutcome, failure_signature, run_spec
 from .spec import ExpectSpec, ScenarioSpec, load_scenario
 
 __all__ = [
+    "DEFAULT_ROOT",
     "TEMPLATE_DIR",
     "REGRESSION_DIR",
     "CorpusReplay",
     "corpus_files",
+    "scenario_names",
+    "scenario_path",
     "replay_file",
     "replay_corpus",
     "pin_expectations",
@@ -38,6 +40,9 @@ __all__ = [
     "save_regression",
 ]
 
+#: The corpus root the CLI verbs default to, relative to the working
+#: directory.
+DEFAULT_ROOT = "scenarios"
 TEMPLATE_DIR = "templates"
 REGRESSION_DIR = "regressions"
 
@@ -63,6 +68,24 @@ def corpus_files(root: str, include_regressions: bool = True) -> List[str]:
             if name.endswith(".json")
         )
     return out
+
+
+def scenario_names(root: str = DEFAULT_ROOT) -> List[str]:
+    """Every scenario runnable by name: the top-level corpus files."""
+    return [
+        os.path.splitext(os.path.basename(path))[0]
+        for path in corpus_files(root, include_regressions=False)
+    ]
+
+
+def scenario_path(name: str, root: str = DEFAULT_ROOT) -> str:
+    """The corpus file defining scenario ``name``."""
+    names = scenario_names(root)
+    if name not in names:
+        raise ConfigError(
+            f"unknown scenario {name!r} (expected one of {', '.join(names)})"
+        )
+    return os.path.join(root, f"{name}.json")
 
 
 @dataclass

@@ -1,10 +1,9 @@
 """Materialise and run one :class:`~repro.chaos.spec.ScenarioSpec`.
 
-The runner is the declarative twin of the hand-written scenarios in
-:mod:`repro.faults.scenarios`: given a spec it assembles the same beds,
-arms the same fault objects, runs the same benchmark, and produces the
-same payload keys — so the six legacy scenarios re-expressed as corpus
-files fingerprint identically to their scripted originals.
+This is the only way a scenario runs: ``repro-nfs faults``, ``fleet``,
+``trace``, ``corpus`` and the fuzzer all hand a spec to :func:`run_spec`,
+which assembles the beds, arms the fault objects, runs the workload,
+and audits the spec's selected checks.
 
 Three execution shapes, chosen by the spec:
 
@@ -25,7 +24,10 @@ to every fuzz draw.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from contextlib import ExitStack
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bench.runner import TestBed
@@ -38,21 +40,74 @@ from ..faults.link import (
     FaultChain,
     GilbertElliott,
 )
-from ..faults.scenarios import (
-    Invariant,
-    ScenarioOutcome,
-    _common_payload,
-    _fingerprint,
-    _sanitizer_invariants,
-    _server_file,
-    _trace_checksum,
-)
 from ..faults.server import ServerFaultSchedule
 from ..sim import RngStreams
-from .checks import CheckContext, run_checks
+from .checks import CheckContext, Invariant, _sanitizer_invariants, run_checks
 from .spec import ScenarioSpec
 
-__all__ = ["run_spec", "failure_signature"]
+__all__ = ["ScenarioOutcome", "run_spec", "failure_signature"]
+
+
+@dataclass
+class ScenarioOutcome:
+    """Everything one scenario run produced."""
+
+    name: str
+    seed: int
+    payload: Dict[str, object]
+    invariants: List[Invariant] = field(default_factory=list)
+    fingerprint: str = ""
+    #: Observers of the beds the first run built (``observe=True`` only).
+    observabilities: Optional[List] = None
+    #: The reduced FleetPointResult (fleet scenarios only).
+    point: Optional[Any] = None
+
+    @property
+    def passed(self) -> bool:
+        return all(inv.ok for inv in self.invariants)
+
+
+def _fingerprint(payload: Dict[str, object]) -> str:
+    return hashlib.sha256(
+        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
+def _trace_checksum(result) -> str:
+    """Hash of the full write()-latency series: any divergence anywhere
+    in the run — not just in the totals — breaks the fingerprint."""
+    raw = ",".join(str(v) for v in result.trace.latencies_ns).encode()
+    return hashlib.sha256(raw).hexdigest()
+
+
+def _server_file(bed: TestBed):
+    return next(iter(bed.server.files.values()), None)
+
+
+def _common_payload(bed: TestBed, result) -> Dict[str, object]:
+    xs = bed.nfs.xprt.stats
+    cs = bed.nfs.stats
+    file = _server_file(bed)
+    return {
+        "write_elapsed_ns": result.write_elapsed_ns,
+        "flush_elapsed_ns": result.flush_elapsed_ns,
+        "close_elapsed_ns": result.close_elapsed_ns,
+        "trace_checksum": _trace_checksum(result),
+        "retransmits": xs.retransmits,
+        "major_timeouts": xs.major_timeouts,
+        "duplicate_replies": xs.duplicate_replies,
+        "jukebox_retries": xs.jukebox_retries,
+        "backlog_peak": xs.backlog_peak,
+        "writes_sent": cs.writes_sent,
+        "commits_sent": cs.commits_sent,
+        "bytes_acked_stable": cs.bytes_acked_stable,
+        "commit_verf_mismatches": cs.commit_verf_mismatches,
+        "server_drc_hits": bed.server.rpc.drc_hits,
+        "server_bytes_received": bed.server.bytes_received,
+        "server_file_size": file.size if file else 0,
+        "server_stable_bytes": file.stable_bytes if file else 0,
+        "server_dirty_bytes": file.dirty_bytes if file else 0,
+    }
 
 
 def _mount(spec: ScenarioSpec) -> Optional[MountConfig]:
@@ -151,7 +206,7 @@ def _fault_extras(
     payload: Dict[str, Any], spec: ScenarioSpec, built: _BuiltFaults
 ) -> None:
     """Per-fault-kind counters, added only when that kind is armed, so a
-    fault-free spec's payload matches the legacy clean-run shape."""
+    fault-free spec's payload keeps the clean-run shape."""
     if built.ge:
         payload["frames_dropped"] = sum(f.frames_dropped for f in built.ge)
         payload["loss_bursts"] = sum(f.bursts for f in built.ge)
@@ -501,18 +556,25 @@ def run_spec(
     sanitize: bool = False,
     shards: int = 0,
     shard_transport: str = "inline",
+    observe: bool = False,
 ) -> ScenarioOutcome:
     """Run one declarative scenario and audit its selected checks.
 
-    Mirrors :func:`repro.faults.scenarios.run_scenario`: with
-    ``verify_determinism`` the spec executes twice and both payload
-    fingerprints must match; with ``sanitize`` the first run executes
+    With ``verify_determinism`` the spec executes twice and both payload
+    fingerprints must match — the bit-for-bit reproducibility contract
+    extended to faulted runs.  With ``sanitize`` the first run executes
     under the runtime sanitizers, adding the three ``sanitize-*`` rows.
+    With ``observe`` (implied by an ``slos`` block) it runs under an
+    :func:`repro.obs.core.observed` session whose per-bed observers land
+    in ``outcome.observabilities``.  Only the first run is instrumented;
+    the replay is not, so a matching fingerprint also proves neither
+    observer perturbed the simulation.
 
     ``shards >= 2`` (fleet specs only) additionally replays the same
     spec — same seed, fresh faults — under the sharded parallel engine
     and appends a ``serial-equivalence`` row comparing the two reduced
-    fleet fingerprints.
+    fleet fingerprints.  With ``sanitize`` that sharded run is audited
+    as well; its findings fold into the same ``sanitize-*`` rows.
     """
     seed = spec.seed if seed is None else seed
     san_session = None
@@ -522,10 +584,9 @@ def run_spec(
             from ..analysis.sanitize import sanitized
 
             san_session = stack.enter_context(sanitized())
-        if spec.slos:
+        if observe or spec.slos:
             # SLO gating needs timelines, so the first execution runs
-            # observed.  The determinism replay below stays unobserved,
-            # so its fingerprint match doubles as a pure-observer proof.
+            # observed.
             from ..obs.core import observed
 
             obs_sess = stack.enter_context(observed())
@@ -542,7 +603,7 @@ def run_spec(
                 Invariant(check.name, check.passed, check.measured)
                 for check in exp_result.comparison.checks
             )
-        if obs_sess is not None and obs_sess.observabilities:
+        if spec.slos and obs_sess is not None and obs_sess.observabilities:
             from ..obs.slo import evaluate_slos
 
             report = evaluate_slos(
@@ -562,8 +623,9 @@ def run_spec(
                         detail,
                     )
                 )
-    if san_session is not None:
-        invariants.extend(_sanitizer_invariants(san_session))
+    # The sanitizer rows land here once the sharded replay below has
+    # added its findings.
+    san_at = len(invariants)
     fingerprint = _fingerprint(payload)
     if verify_determinism:
         replay, _, _ = _execute(spec, seed)
@@ -575,14 +637,23 @@ def run_spec(
                 f"{fingerprint[:12]} vs replay {replay_fp[:12]}",
             )
         )
-    if shards >= 2 and spec.bed.clients > 1 and error is None:
+    job = getattr(ctx, "fleet_job", None)
+    if shards >= 2 and error is None and job is not None:
         from ..parallel.des import run_sharded_fleet
 
-        job = ctx.fleet_job
         faults, _ = _fleet_faults(spec, seed, job)
-        sharded = run_sharded_fleet(
-            job, shards=shards, transport=shard_transport, faults=faults
-        )
+        with ExitStack() as stack:
+            if san_session is not None:
+                # Audit the sharded run too, folding its harnesses into
+                # the first run's session.
+                from ..analysis.sanitize import sanitized
+
+                sharded_san = stack.enter_context(sanitized())
+            sharded = run_sharded_fleet(
+                job, shards=shards, transport=shard_transport, faults=faults
+            )
+        if san_session is not None:
+            san_session.harnesses.extend(sharded_san.harnesses)
         serial_fp = ctx.point.run_fingerprint()
         sharded_fp = sharded.point.run_fingerprint()
         invariants.append(
@@ -592,10 +663,16 @@ def run_spec(
                 f"serial {serial_fp[:12]} vs {shards}-shard {sharded_fp[:12]}",
             )
         )
+    if san_session is not None:
+        invariants[san_at:san_at] = _sanitizer_invariants(san_session)
     return ScenarioOutcome(
         name=spec.name,
         seed=seed,
         payload=payload,
         invariants=invariants,
         fingerprint=fingerprint,
+        observabilities=(
+            obs_sess.observabilities if obs_sess is not None else None
+        ),
+        point=getattr(ctx, "point", None),
     )

@@ -258,15 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="run the fleet as N parallel DES shards (one worker process "
-        "per client group); must reproduce the serial fingerprint "
-        "bit-for-bit (default 1 = serial)",
+        help="replay the fleet as N parallel DES shards (one worker "
+        "process per client group); the replay must reproduce the serial "
+        "fingerprint bit-for-bit (default 1 = serial replay)",
     )
     fleet.add_argument(
         "--no-verify",
         action="store_true",
         help="skip the second run that checks bit-for-bit determinism "
-        "(with --shards > 1, the check replays serially)",
+        "(not allowed with --shards > 1, whose sharded run is that replay)",
     )
     fleet.add_argument(
         "--sanitize",
@@ -292,20 +292,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults = sub.add_parser(
         "faults",
-        help="run fault-injection scenarios and audit their invariants",
+        help="run corpus scenarios by name at any seed and audit their "
+        "invariants",
     )
     faults.add_argument(
         "--scenario",
         action="append",
         default=None,
         metavar="NAME",
-        help="scenario to run (repeatable; default: all)",
+        help="scenario to run: a top-level file scenarios/NAME.json "
+        "(repeatable; default: every top-level file)",
     )
     faults.add_argument(
         "--seed", type=int, default=1, help="fault RNG seed (default 1)"
     )
     faults.add_argument(
-        "--list", action="store_true", help="list available scenarios"
+        "--list",
+        action="store_true",
+        help="list the corpus scenarios with their descriptions",
     )
     faults.add_argument(
         "--no-verify",
@@ -332,12 +336,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace = sub.add_parser(
         "trace",
-        help="run one experiment trace-point or fault scenario observed "
+        help="run one experiment trace-point or corpus scenario observed "
         "and export a Chrome-trace/metrics/profile bundle",
     )
     trace.add_argument(
         "name",
-        help="experiment id (fig1..fig7, tab1) or fault scenario name",
+        help="experiment id (fig1..fig7, tab1) or scenario name "
+        "(a top-level file scenarios/NAME.json)",
     )
     trace.add_argument(
         "--out",
@@ -361,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument(
         "target",
         help="bundle directory (containing timeline.json) or an "
-        "experiment id / fault scenario / trace-point name",
+        "experiment id / corpus scenario / trace-point name",
     )
     report.add_argument(
         "--html",
@@ -380,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     metrics.add_argument(
         "name",
-        help="experiment id (fig1..fig7, tab1) or fault scenario name",
+        help="experiment id (fig1..fig7, tab1) or scenario name "
+        "(a top-level file scenarios/NAME.json)",
     )
     metrics.add_argument(
         "--seed", type=int, default=1, help="fault RNG seed (default 1)"
@@ -574,7 +580,7 @@ def run_report(
 
     ``target`` is either an existing obs bundle directory — the
     timelines and slo-report are loaded from ``timeline*.json`` /
-    ``slo*.json`` — or a trace-point / fault-scenario name, in which
+    ``slo*.json`` — or a trace-point / corpus-scenario name, in which
     case the run happens here, observed, and is reported directly.
     """
     import json
@@ -667,19 +673,21 @@ def run_fleet(
 ) -> bool:
     """``repro-nfs fleet``: one fleet point with a fairness audit.
 
-    Runs N identical clients concurrently against one server, prints
-    per-client and aggregate throughput plus Jain's fairness index, and
-    audits invariants (durability, fairness, ingest envelope — and the
-    sanitizer groups with ``sanitize``).  With ``verify`` the fleet runs
-    a second, uninstrumented time and the two reduced results must hash
-    identically: the bit-for-bit contract, which also proves the
-    sanitizers perturbed nothing.
+    Runs N identical clients concurrently against one server — a
+    :class:`~repro.chaos.spec.ScenarioSpec` run by
+    :func:`~repro.chaos.run_spec` — prints per-client and aggregate
+    throughput plus Jain's fairness index, and audits the spec's checks:
+    durability, the ingest envelope, fair share for an unstaggered
+    closed-loop fleet, and the sanitizer groups with ``sanitize``.  With
+    ``verify`` the fleet runs a second, uninstrumented time and the two
+    results must hash identically: the bit-for-bit contract, which also
+    proves the sanitizers perturbed nothing.
 
-    ``shards > 1`` runs the same fleet as parallel DES shards: client
-    groups simulate in worker processes, the switch and servers in this
-    one.  Durable server state stays inspectable in-process, and the
-    ``deterministic-replay`` invariant becomes the sharded-vs-serial
-    equality check — the strongest form of the contract.
+    ``shards > 1`` makes that second run a sharded one: client groups
+    simulate in worker processes, the switch and servers in this one,
+    and the ``serial-equivalence`` row requires the sharded reduction to
+    match the serial one bit for bit — the strongest form of the
+    contract.
 
     ``arrivals`` switches the fleet open-loop: every client releases
     sessions on its own seeded arrival process (Poisson or MMPP, sized
@@ -687,17 +695,16 @@ def run_fleet(
     executes observed so the arrival layer's ``traffic/*`` timelines
     exist, and the verdict gains an SLO report: offered-load vs goodput
     curves and the located latency knee, written to ``slo_out`` when
-    given.  The durability invariant switches to the open-loop bar
-    (every planned session completed, nothing ingested left unstable)
-    because per-session sizes vary by design.
+    given.  The durability check switches to the open-loop bar (every
+    planned session completed, nothing ingested left unstable) because
+    per-session sizes vary by design.
     """
     import json
     import os
-    from contextlib import ExitStack
+    from dataclasses import replace
 
-    from ..faults.scenarios import Invariant, _sanitizer_invariants
-    from ..topology import FleetJobSpec, FleetWorkload, Topology
-    from ..topology.fleet import reduce_fleet
+    from ..chaos import run_spec
+    from ..chaos.spec import BedSpec, CheckSpec, ScenarioSpec, WorkloadSpec
     from ..units import KIB, us
 
     if out is None:
@@ -711,59 +718,51 @@ def run_fleet(
             with open(arrivals, "r", encoding="utf-8") as handle:
                 text = handle.read()
         arrival_spec = parse_arrivals(text)
-    spec = FleetJobSpec.homogeneous(
-        clients,
-        target=target,
-        client=client_variant,
-        file_bytes=file_kib * KIB,
-        chunk_bytes=chunk_bytes,
-        stagger_ns=us(stagger_us),
-        arrivals=arrival_spec,
+    closed_loop = arrival_spec is None
+    checks = [
+        CheckSpec("fleet-files-durable" if closed_loop else "open-loop-complete"),
+        CheckSpec("within-ingest-envelope"),
+    ]
+    if closed_loop and stagger_us == 0:
+        checks.append(CheckSpec("fleet-fair-share"))
+    workload = WorkloadSpec(file_bytes=file_kib * KIB, chunk_bytes=chunk_bytes)
+    if clients == 1:
+        # Naming the writer keeps a one-client fleet on the topology path.
+        workload = replace(
+            workload,
+            name="sequential-write",
+            params=(("chunk_bytes", chunk_bytes), ("file_bytes", file_kib * KIB)),
+        )
+    spec = ScenarioSpec(
+        name="fleet",
         seed=seed,
+        bed=BedSpec(
+            target=target,
+            client=client_variant,
+            clients=clients,
+            stagger_ns=us(stagger_us),
+        ),
+        workload=workload,
+        arrivals=arrival_spec,
+        checks=tuple(checks),
     )
+    if shards > 1 and not verify:
+        raise ValueError("shards > 1 needs verify: the sharded run is the replay")
     started = time.time()  # noqa: DET102 - wall-clock reporting only
-    registry = None
-    with ExitStack() as stack:
-        san_session = None
-        if sanitize:
-            from ..analysis.sanitize import sanitized
-
-            san_session = stack.enter_context(sanitized())
-        if arrival_spec is not None:
-            # Open-loop runs are SLO-scored, which needs timelines, so
-            # the first execution runs observed.  The verify replay
-            # below stays unobserved — its fingerprint match doubles as
-            # the pure-observer proof.
-            from ..obs.core import observed
-
-            stack.enter_context(observed())
-        if shards > 1:
-            from ..parallel.des import run_sharded_fleet
-
-            outcome = run_sharded_fleet(spec, shards=shards)
-            point = outcome.point
-            live_servers = outcome.servers
-            if outcome.observability is not None:
-                registry = outcome.observability.timelines
-        else:
-            topo = Topology(
-                clients=spec.clients, servers=spec.servers, switch=spec.switch
-            )
-            fleet = FleetWorkload(
-                topo,
-                spec.file_bytes,
-                chunk_bytes=spec.chunk_bytes,
-                do_fsync=spec.do_fsync,
-                stagger_ns=spec.stagger_ns,
-                workload=spec.workload,
-                arrivals=spec.arrivals,
-                seed=spec.seed,
-            ).run(time_limit_ns=spec.time_limit_ns)
-            point = reduce_fleet(fleet)
-            live_servers = topo.servers
-            if arrival_spec is not None:
-                registry = topo.obs.timelines
+    outcome = run_spec(
+        spec,
+        verify_determinism=verify and shards == 1,
+        sanitize=sanitize,
+        shards=shards,
+        shard_transport="process",
+        observe=not closed_loop,
+    )
     elapsed = time.time() - started  # noqa: DET102
+    point = outcome.point
+    if point is None:  # the simulation itself failed
+        out.write(f"FAIL fleet ({elapsed:.1f} s wall)\n")
+        _write_invariants(outcome.invariants, out)
+        return False
 
     rows = [
         (c["name"], f"{mb:.2f}", f"{p99:.1f}")
@@ -773,14 +772,14 @@ def run_fleet(
     ]
     width = max(len(r[0]) for r in rows)
     sharding = f", {shards} shards" if shards > 1 else ""
-    if arrival_spec is not None:
+    if closed_loop:
+        load = f"{file_kib} KiB each"
+    else:
         load = (
             f"open-loop {arrival_spec.process} "
             f"{arrival_spec.rate_per_s:g}/s x "
             f"{arrival_spec.duration_ns / 1e6:g} ms"
         )
-    else:
-        load = f"{file_kib} KiB each"
     out.write(f"{clients} x {client_variant} client(s) -> {target}, "
               f"{load}{sharding}\n")
     out.write(f"{'client'.ljust(width)}  write MBps   p99 us\n")
@@ -800,11 +799,10 @@ def run_fleet(
             f"{row['downlink_queue_ns'] / 1e6:.1f} ms total\n"
         )
 
-    slo_report = None
-    if arrival_spec is not None and registry is not None:
+    if not closed_loop and outcome.observabilities:
         from ..obs.slo import evaluate_slos
 
-        slo_report = evaluate_slos(registry)
+        slo_report = evaluate_slos(outcome.observabilities[0].timelines)
         offered_total = sum(n for _, n in slo_report["load"]["offered_bytes"])
         goodput_total = sum(n for _, n in slo_report["load"]["goodput_bytes"])
         out.write(
@@ -828,93 +826,13 @@ def run_fleet(
                 handle.write("\n")
             out.write(f"slo report -> {slo_out}\n")
 
-    invariants = []
-    if arrival_spec is not None:
-        planned = sum(
-            c.get("extra", {}).get("sessions", 0) for c in point.clients
-        )
-        completed = sum(c.get("ops", 0) for c in point.clients)
-        invariants.append(
-            Invariant(
-                "open-loop-complete",
-                planned > 0 and completed == planned,
-                f"{completed}/{planned} sessions completed",
-            )
-        )
-    for server in live_servers:
-        if server is None:
-            continue
-        if arrival_spec is not None:
-            laggards = sorted(
-                f.name
-                for f in server.files.values()
-                if f.stable_bytes < f.size
-            )
-            invariants.append(
-                Invariant(
-                    f"open-loop-durable[{server.name}]",
-                    not laggards,
-                    f"unstable files: {laggards}",
-                )
-            )
-        else:
-            laggards = sorted(
-                f.name
-                for f in server.files.values()
-                if f.size != spec.file_bytes or f.stable_bytes < f.size
-            )
-            invariants.append(
-                Invariant(
-                    f"files-complete-durable[{server.name}]",
-                    len(server.files) == clients and not laggards,
-                    f"{len(server.files)} files, incomplete: {laggards}",
-                )
-            )
-        bound = 1.1 * server.ingest_bytes_per_sec
-        invariants.append(
-            Invariant(
-                f"within-ingest-envelope[{server.name}]",
-                point.aggregate_bytes_per_sec <= bound,
-                f"aggregate {point.aggregate_mbps:.1f} MBps exceeds "
-                "the server's ingest rate",
-            )
-        )
-    if stagger_us == 0 and arrival_spec is None:
-        invariants.append(
-            Invariant(
-                "fair-share",
-                point.fairness >= 0.95,
-                f"Jain {point.fairness:.4f} < 0.95 for identical clients",
-            )
-        )
-    if sanitize:
-        invariants.extend(_sanitizer_invariants(san_session))
-    fingerprint = point.run_fingerprint()
-    if verify:
-        from ..topology import run_fleet_job
-
-        # Always replays serially: with shards > 1 this is the
-        # sharded-vs-serial bit-identity contract, not just a rerun.
-        replay_fp = run_fleet_job(spec).run_fingerprint()
-        name = "deterministic-replay" if shards == 1 else "serial-equivalence"
-        invariants.append(
-            Invariant(
-                name,
-                replay_fp == fingerprint,
-                f"replay fingerprint {replay_fp[:12]} != {fingerprint[:12]}",
-            )
-        )
-
-    passed = all(inv.ok for inv in invariants)
-    verdict = "PASS" if passed else "FAIL"
+    verdict = "PASS" if outcome.passed else "FAIL"
     out.write(
-        f"{verdict} fleet (fingerprint={fingerprint[:12]}, {elapsed:.1f} s wall)\n"
+        f"{verdict} fleet (fingerprint={point.run_fingerprint()[:12]}, "
+        f"{elapsed:.1f} s wall)\n"
     )
-    for inv in invariants:
-        mark = "ok" if inv.ok else "VIOLATED"
-        detail = f" — {inv.detail}" if inv.detail and not inv.ok else ""
-        out.write(f"  [{mark:8s}] {inv.name}{detail}\n")
-    return passed
+    _write_invariants(outcome.invariants, out)
+    return outcome.passed
 
 
 def run_fault_scenarios(
@@ -926,17 +844,23 @@ def run_fault_scenarios(
     force: bool = False,
     out=None,
 ) -> bool:
-    from ..faults import SCENARIOS, run_scenario
+    """``repro-nfs faults``: run corpus scenarios by name at ``seed``.
+
+    ``names`` are top-level files of the default ``scenarios`` corpus
+    (default: every one).  Pinned expectations are not audited here —
+    another seed moves the fingerprint; ``repro-nfs corpus`` gates them.
+    """
+    from ..chaos import load_scenario, run_spec, scenario_names, scenario_path
 
     if out is None:
         out = sys.stdout
-    names = names or sorted(SCENARIOS)
     all_passed = True
-    for name in names:
+    for name in names or scenario_names():
+        spec = load_scenario(scenario_path(name))
         # Wall-clock reporting only, as above.
         started = time.time()  # noqa: DET102
-        outcome = run_scenario(
-            name,
+        outcome = run_spec(
+            spec,
             seed=seed,
             verify_determinism=verify,
             sanitize=sanitize,
@@ -968,12 +892,7 @@ def run_fault_scenarios(
             f"{verdict} {name} (seed={seed}, "
             f"fingerprint={outcome.fingerprint[:12]}, {elapsed:.1f} s wall)\n"
         )
-        for inv in outcome.invariants:
-            mark = "ok" if inv.ok else "VIOLATED"
-            # Details are phrased as failure diagnostics; show them only
-            # when the invariant actually tripped.
-            detail = f" — {inv.detail}" if inv.detail and not inv.ok else ""
-            out.write(f"  [{mark:8s}] {inv.name}{detail}\n")
+        _write_invariants(outcome.invariants, out)
         all_passed = all_passed and outcome.passed
     return all_passed
 
@@ -1119,6 +1038,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--file-kib must be >= 1, got {args.file_kib}")
         if args.shards < 1:
             parser.error(f"--shards must be >= 1, got {args.shards}")
+        if args.shards > 1 and args.no_verify:
+            parser.error("--shards needs the verify replay; drop --no-verify")
         ok = run_fleet(
             args.clients,
             args.target,
@@ -1139,18 +1060,19 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return run_bench(json_path=args.json_path, quick=args.quick)
     if args.command == "faults":
-        from ..faults import SCENARIOS
+        from ..chaos import load_scenario, scenario_names, scenario_path
+        from ..errors import ConfigError
 
         if args.list:
-            for name in sorted(SCENARIOS):
-                print(f"{name:16s} {SCENARIOS[name].description}")
+            for name in scenario_names():
+                spec = load_scenario(scenario_path(name))
+                print(f"{name:20s} {spec.description}")
             return 0
         for name in args.scenario or []:
-            if name not in SCENARIOS:
-                parser.error(
-                    f"unknown scenario {name!r} "
-                    f"(expected one of {', '.join(sorted(SCENARIOS))})"
-                )
+            try:
+                scenario_path(name)
+            except ConfigError as err:
+                parser.error(str(err))
         ok = run_fault_scenarios(
             args.scenario,
             seed=args.seed,

@@ -11,8 +11,9 @@ Three layers, matching where real NFS deployments hurt:
 
 Everything draws randomness from named :class:`repro.sim.RngStreams`
 streams, so a faulted run is exactly as reproducible as a clean one.
-:mod:`repro.faults.scenarios` packages full chaos scenarios with
-invariant checks (``python -m repro.experiments.cli faults``).
+Full fault scenarios with invariant checks are declared in the
+``scenarios/`` corpus and run by :func:`repro.chaos.run_spec`
+(``repro-nfs faults``).
 """
 
 from .client import SlotStarvation
@@ -24,7 +25,6 @@ from .link import (
     GilbertElliott,
     LinkFault,
 )
-from .scenarios import SCENARIOS, ScenarioOutcome, run_scenario, run_scenario_payload
 from .server import ServerFaultSchedule
 
 __all__ = [
@@ -36,8 +36,4 @@ __all__ = [
     "FaultChain",
     "ServerFaultSchedule",
     "SlotStarvation",
-    "SCENARIOS",
-    "ScenarioOutcome",
-    "run_scenario",
-    "run_scenario_payload",
 ]

@@ -1,501 +1,8 @@
-"""Named chaos scenarios with invariant checks.
-
-Each scenario builds a :class:`~repro.bench.runner.TestBed`, arms a
-fault schedule, runs the sequential-write benchmark, and audits
-invariants the NFS protocol promises to keep under that fault:
-
-* no acknowledged-stable data is lost across a server crash/restart
-  (the NFSv3 write-verifier contract),
-* a fixed seed reproduces the run bit for bit (checked by running the
-  scenario twice and comparing fingerprints),
-* throughput degrades monotonically as network loss rises.
-
-``python -m repro.experiments.cli faults`` runs them from the command
-line; CI runs ``lossy-burst`` as a smoke test.
+"""Import path kept for ``perfbench/worker.py``, which reads the
+sanitizer verdict rows from here.  Scenarios live in the ``scenarios/``
+corpus; the helper itself lives in :mod:`repro.chaos.checks`.
 """
 
-from __future__ import annotations
+from ..chaos.checks import _sanitizer_invariants
 
-import hashlib
-import json
-from contextlib import ExitStack
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
-
-from ..bench.runner import TestBed
-from ..config import MountConfig, NetConfig
-from ..errors import ConfigError, EioError
-from ..sim import RngStreams
-from ..units import MIB, ms, seconds
-from .client import SlotStarvation
-from .link import GilbertElliott
-from .server import ServerFaultSchedule
-
-__all__ = ["SCENARIOS", "Scenario", "ScenarioOutcome", "run_scenario", "run_scenario_payload"]
-
-
-@dataclass
-class Invariant:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass
-class ScenarioOutcome:
-    """Everything one scenario run produced."""
-
-    name: str
-    seed: int
-    payload: Dict[str, object]
-    invariants: List[Invariant] = field(default_factory=list)
-    fingerprint: str = ""
-    #: Observers of the beds the first run built (``observe=True`` only).
-    observabilities: Optional[List] = None
-
-    @property
-    def passed(self) -> bool:
-        return all(inv.ok for inv in self.invariants)
-
-
-class Scenario:
-    """A named fault scenario: builder + invariant auditor."""
-
-    def __init__(self, name: str, description: str, fn: Callable):
-        self.name = name
-        self.description = description
-        self._fn = fn
-
-    def run(self, seed: int) -> Tuple[Dict[str, object], List[Invariant]]:
-        return self._fn(seed)
-
-
-SCENARIOS: Dict[str, Scenario] = {}
-
-
-def _scenario(name: str, description: str):
-    def register(fn):
-        SCENARIOS[name] = Scenario(name, description, fn)
-        return fn
-
-    return register
-
-
-# -- plumbing ----------------------------------------------------------------
-
-
-def _fingerprint(payload: Dict[str, object]) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _trace_checksum(result) -> str:
-    """Hash of the full write()-latency series: any divergence anywhere
-    in the run — not just in the totals — breaks the fingerprint."""
-    raw = ",".join(str(v) for v in result.trace.latencies_ns).encode()
-    return hashlib.sha256(raw).hexdigest()
-
-
-def _server_file(bed: TestBed):
-    return next(iter(bed.server.files.values()), None)
-
-
-def _common_payload(bed: TestBed, result) -> Dict[str, object]:
-    xs = bed.nfs.xprt.stats
-    cs = bed.nfs.stats
-    file = _server_file(bed)
-    return {
-        "write_elapsed_ns": result.write_elapsed_ns,
-        "flush_elapsed_ns": result.flush_elapsed_ns,
-        "close_elapsed_ns": result.close_elapsed_ns,
-        "trace_checksum": _trace_checksum(result),
-        "retransmits": xs.retransmits,
-        "major_timeouts": xs.major_timeouts,
-        "duplicate_replies": xs.duplicate_replies,
-        "jukebox_retries": xs.jukebox_retries,
-        "backlog_peak": xs.backlog_peak,
-        "writes_sent": cs.writes_sent,
-        "commits_sent": cs.commits_sent,
-        "bytes_acked_stable": cs.bytes_acked_stable,
-        "commit_verf_mismatches": cs.commit_verf_mismatches,
-        "server_drc_hits": bed.server.rpc.drc_hits,
-        "server_bytes_received": bed.server.bytes_received,
-        "server_file_size": file.size if file else 0,
-        "server_stable_bytes": file.stable_bytes if file else 0,
-        "server_dirty_bytes": file.dirty_bytes if file else 0,
-    }
-
-
-def _stability_invariants(payload: Dict[str, object], file_bytes: int) -> List[Invariant]:
-    """The end-state every completed run must reach: all data durable."""
-    return [
-        Invariant(
-            "file-complete",
-            payload["server_file_size"] == file_bytes,
-            f"server size {payload['server_file_size']} != {file_bytes}",
-        ),
-        Invariant(
-            "all-data-stable",
-            payload["server_stable_bytes"] >= file_bytes
-            and payload["server_dirty_bytes"] == 0,
-            f"stable={payload['server_stable_bytes']} "
-            f"dirty={payload['server_dirty_bytes']}",
-        ),
-        Invariant(
-            "client-acked-stable",
-            payload["bytes_acked_stable"] >= file_bytes,
-            f"acked {payload['bytes_acked_stable']} < {file_bytes}",
-        ),
-    ]
-
-
-# -- scenarios ----------------------------------------------------------------
-
-
-@_scenario(
-    "lossy-burst",
-    "Gilbert-Elliott burst loss on both directions; hard mount rides it out",
-)
-def _lossy_burst(seed: int):
-    file_bytes = 2 * MIB
-    bed = TestBed(
-        target="netapp",
-        client="stock",
-        mount=MountConfig(timeo_ns=ms(25), retrans=7),
-    )
-    rngs = RngStreams(seed)
-    down = GilbertElliott(
-        rngs.stream("lossy-burst/client-down"), p_good_to_bad=0.02, p_bad_to_good=0.3
-    )
-    up = GilbertElliott(
-        rngs.stream("lossy-burst/server-down"), p_good_to_bad=0.02, p_bad_to_good=0.3
-    )
-    bed.switch.install_fault("client", downlink=down)
-    bed.switch.install_fault(bed.server.name, downlink=up)
-    result = bed.run_sequential_write(file_bytes, time_limit_ns=seconds(600))
-    payload = _common_payload(bed, result)
-    payload["frames_dropped"] = down.frames_dropped + up.frames_dropped
-    payload["loss_bursts"] = down.bursts + up.bursts
-    invariants = [
-        Invariant(
-            "loss-injected",
-            payload["frames_dropped"] > 0,
-            f"{payload['frames_dropped']} frames dropped",
-        ),
-        Invariant(
-            "client-retransmitted",
-            payload["retransmits"] > 0,
-            f"{payload['retransmits']} retransmits",
-        ),
-    ]
-    invariants += _stability_invariants(payload, file_bytes)
-    return payload, invariants
-
-
-@_scenario(
-    "server-restart",
-    "knfsd crash (page cache + reply cache lost) and reboot mid-write; "
-    "verifier mismatch forces the client to rewrite unstable data",
-)
-def _server_restart(seed: int):
-    file_bytes = 16 * MIB
-    bed = TestBed(
-        target="linux",
-        client="stock",
-        mount=MountConfig(timeo_ns=ms(50), retrans=7),
-    )
-    ServerFaultSchedule(bed.server).crash_at(ms(150)).restart_at(ms(400))
-    snapshot: Dict[str, int] = {}
-
-    def snap() -> None:
-        file = _server_file(bed)
-        snapshot["client_acked_stable"] = bed.nfs.stats.bytes_acked_stable
-        snapshot["server_stable"] = file.stable_bytes if file else 0
-
-    bed.sim.schedule_at(ms(150) - 1, snap)  # the instant before the crash
-    result = bed.run_sequential_write(file_bytes, time_limit_ns=seconds(600))
-    payload = _common_payload(bed, result)
-    payload["acked_stable_at_crash"] = snapshot.get("client_acked_stable", 0)
-    payload["server_stable_at_crash"] = snapshot.get("server_stable", 0)
-    payload["boot_verf"] = bed.server.boot_verf
-    invariants = [
-        Invariant(
-            "verifier-bumped", payload["boot_verf"] == 2, f"verf={payload['boot_verf']}"
-        ),
-        Invariant(
-            "verf-mismatch-detected",
-            payload["commit_verf_mismatches"] > 0,
-            f"{payload['commit_verf_mismatches']} mismatches",
-        ),
-        Invariant(
-            "no-stable-data-lost",
-            payload["server_stable_at_crash"] >= payload["acked_stable_at_crash"],
-            f"server had {payload['server_stable_at_crash']} stable, client "
-            f"believed {payload['acked_stable_at_crash']}",
-        ),
-        Invariant(
-            "client-retransmitted",
-            payload["retransmits"] > 0,
-            f"{payload['retransmits']} retransmits",
-        ),
-    ]
-    invariants += _stability_invariants(payload, file_bytes)
-    return payload, invariants
-
-
-@_scenario(
-    "soft-timeout",
-    "server dies for good under a soft mount; the writer gets EIO instead "
-    "of hanging forever",
-)
-def _soft_timeout(seed: int):
-    file_bytes = 4 * MIB
-    bed = TestBed(
-        target="netapp",
-        client="stock",
-        mount=MountConfig(timeo_ns=ms(10), retrans=3, soft=True),
-    )
-    ServerFaultSchedule(bed.server).crash_at(ms(10))
-    eio_raised = False
-    try:
-        bed.run_sequential_write(file_bytes, time_limit_ns=seconds(600))
-    except EioError:
-        eio_raised = True
-    xs = bed.nfs.xprt.stats
-    payload = {
-        "eio_raised": eio_raised,
-        "failed_at_ns": bed.sim.now,
-        "major_timeouts": xs.major_timeouts,
-        "soft_failures": xs.soft_failures,
-        "retransmits": xs.retransmits,
-        "write_failures": bed.nfs.stats.write_failures,
-        "syscall_eio_errors": bed.syscalls.eio_errors,
-    }
-    invariants = [
-        Invariant("eio-surfaced", eio_raised, "benchmark did not fail with EIO"),
-        Invariant(
-            "major-timeout-hit",
-            payload["major_timeouts"] >= 1,
-            f"{payload['major_timeouts']} major timeouts",
-        ),
-        Invariant(
-            "requests-failed-soft",
-            payload["soft_failures"] >= 1 and payload["write_failures"] >= 1,
-            f"soft={payload['soft_failures']} writes={payload['write_failures']}",
-        ),
-        Invariant(
-            "syscall-saw-eio",
-            payload["syscall_eio_errors"] >= 1,
-            f"{payload['syscall_eio_errors']} EIO returns",
-        ),
-    ]
-    return payload, invariants
-
-
-@_scenario(
-    "jukebox",
-    "server answers NFS3ERR_JUKEBOX for 60 ms; client retries after the "
-    "jukebox delay and completes without duplicating data",
-)
-def _jukebox(seed: int):
-    file_bytes = 1 * MIB
-    bed = TestBed(
-        target="linux",
-        client="stock",
-        mount=MountConfig(jukebox_delay_ns=ms(20)),
-    )
-    ServerFaultSchedule(bed.server).jukebox_between(0, ms(60))
-    result = bed.run_sequential_write(file_bytes, time_limit_ns=seconds(600))
-    payload = _common_payload(bed, result)
-    payload["jukebox_injected"] = bed.server.jukebox_injected
-    payload["jukebox_replies"] = bed.server.rpc.jukebox_replies
-    invariants = [
-        Invariant(
-            "jukebox-injected",
-            payload["jukebox_injected"] >= 1,
-            f"{payload['jukebox_injected']} injections",
-        ),
-        Invariant(
-            "client-waited-and-retried",
-            payload["jukebox_retries"] >= 1,
-            f"{payload['jukebox_retries']} jukebox retries",
-        ),
-        Invariant(
-            "no-duplicate-ingest",
-            payload["server_bytes_received"] == file_bytes,
-            f"server ingested {payload['server_bytes_received']} for a "
-            f"{file_bytes}-byte file",
-        ),
-    ]
-    invariants += _stability_invariants(payload, file_bytes)
-    return payload, invariants
-
-
-@_scenario(
-    "slot-starvation",
-    "RPC slot table pinched to one slot for 35 ms; backlog absorbs the "
-    "write stream and drains afterwards",
-)
-def _slot_starvation(seed: int):
-    file_bytes = 2 * MIB
-    bed = TestBed(target="netapp", client="stock")
-    starve = SlotStarvation(bed.sim, bed.nfs.xprt, ms(5), ms(40), slots=1)
-    result = bed.run_sequential_write(file_bytes, time_limit_ns=seconds(600))
-    payload = _common_payload(bed, result)
-    payload["starved_at_ns"] = starve.applied_at or 0
-    payload["restored_at_ns"] = starve.restored_at or 0
-    invariants = [
-        Invariant(
-            "starvation-applied",
-            starve.applied_at is not None and starve.restored_at is not None,
-            "window never fired",
-        ),
-        Invariant(
-            "backlog-built-up",
-            payload["backlog_peak"] >= 4,
-            f"backlog peak {payload['backlog_peak']}",
-        ),
-    ]
-    invariants += _stability_invariants(payload, file_bytes)
-    return payload, invariants
-
-
-@_scenario(
-    "monotone-loss",
-    "throughput must not improve as per-frame loss rises (0%, 2%, 8%)",
-)
-def _monotone_loss(seed: int):
-    file_bytes = 1 * MIB
-    rates = (0.0, 0.02, 0.08)
-    payload: Dict[str, object] = {"loss_rates": list(rates)}
-    elapsed: List[int] = []
-    for rate in rates:
-        bed = TestBed(
-            target="netapp",
-            client="stock",
-            net=NetConfig(loss_probability=rate),
-            mount=MountConfig(timeo_ns=ms(20), retrans=7),
-        )
-        result = bed.run_sequential_write(file_bytes, time_limit_ns=seconds(600))
-        elapsed.append(result.flush_elapsed_ns)
-        payload[f"flush_elapsed_ns@{rate}"] = result.flush_elapsed_ns
-        payload[f"retransmits@{rate}"] = bed.nfs.xprt.stats.retransmits
-        payload[f"trace_checksum@{rate}"] = _trace_checksum(result)
-    monotone = all(a <= b for a, b in zip(elapsed, elapsed[1:]))
-    invariants = [
-        Invariant(
-            "throughput-monotone",
-            monotone,
-            f"elapsed {elapsed} not non-decreasing",
-        ),
-        Invariant(
-            "loss-cost-visible",
-            elapsed[-1] > elapsed[0],
-            f"8% loss no slower than clean run ({elapsed})",
-        ),
-    ]
-    return payload, invariants
-
-
-# -- entry points --------------------------------------------------------------
-
-
-def run_scenario_payload(name: str, seed: int = 1) -> Dict[str, object]:
-    """Pure function: one scenario run's payload (plus its fingerprint).
-
-    Module-level and picklable so determinism tests can replay it in a
-    worker process and compare byte-for-byte.
-    """
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigError(
-            f"unknown scenario {name!r} (expected one of {sorted(SCENARIOS)})"
-        )
-    payload, _ = scenario.run(seed)
-    payload = dict(payload)
-    payload["fingerprint"] = _fingerprint(payload)
-    return payload
-
-
-def _sanitizer_invariants(session) -> List[Invariant]:
-    """Fold a sanitize session's findings into scenario invariants.
-
-    Three rows — locks (ordering/deadlock/FIFO/depth), races (unlocked
-    request-list or index mutations), invariants (accounting, durability,
-    wait-queue FIFO) — each ok iff its group found nothing.
-    """
-    groups = session.grouped()
-    rows = []
-    for key in ("locks", "races", "invariants"):
-        findings = groups[key]
-        rows.append(
-            Invariant(
-                f"sanitize-{key}",
-                not findings,
-                "; ".join(str(f) for f in findings[:3]),
-            )
-        )
-    return rows
-
-
-def run_scenario(
-    name: str,
-    seed: int = 1,
-    verify_determinism: bool = True,
-    sanitize: bool = False,
-    observe: bool = False,
-) -> ScenarioOutcome:
-    """Run one named scenario and audit its invariants.
-
-    With ``verify_determinism`` the scenario runs twice and the two
-    fingerprints must match — the repo's bit-for-bit reproducibility
-    contract extended to faulted runs.
-
-    With ``sanitize`` the first run executes under the runtime sanitizers
-    (:mod:`repro.analysis.sanitize`), adding three invariant rows for
-    lock discipline, races, and structural invariants.  With ``observe``
-    it runs under an :func:`repro.obs.core.observed` session, collecting
-    metrics and causal spans into ``outcome.observabilities``.  Only the
-    first run is instrumented; the replay is not, so a matching
-    fingerprint also proves neither observer perturbed the simulation.
-    """
-    scenario = SCENARIOS.get(name)
-    if scenario is None:
-        raise ConfigError(
-            f"unknown scenario {name!r} (expected one of {sorted(SCENARIOS)})"
-        )
-    obs_session = None
-    with ExitStack() as stack:
-        if sanitize:
-            from ..analysis.sanitize import sanitized
-
-            san_session = stack.enter_context(sanitized())
-        if observe:
-            from ..obs.core import observed
-
-            obs_session = stack.enter_context(observed())
-        payload, invariants = scenario.run(seed)
-    if sanitize:
-        invariants.extend(_sanitizer_invariants(san_session))
-    fingerprint = _fingerprint(payload)
-    if verify_determinism:
-        replay, _ = scenario.run(seed)
-        replay_fp = _fingerprint(replay)
-        invariants.append(
-            Invariant(
-                "deterministic",
-                replay_fp == fingerprint,
-                f"{fingerprint[:12]} vs replay {replay_fp[:12]}",
-            )
-        )
-    return ScenarioOutcome(
-        name=name,
-        seed=seed,
-        payload=payload,
-        invariants=invariants,
-        fingerprint=fingerprint,
-        observabilities=(
-            obs_session.observabilities if obs_session is not None else None
-        ),
-    )
+__all__ = ["_sanitizer_invariants"]

@@ -49,21 +49,20 @@ TRACE_POINTS: Dict[str, Tuple[Dict[str, object], int]] = {
 
 
 def trace_names() -> List[str]:
-    """Everything ``repro-nfs trace`` accepts: experiments + scenarios."""
-    from ..faults import SCENARIOS
+    """Everything ``repro-nfs trace`` accepts: experiments + the
+    top-level scenarios of the default corpus."""
+    from ..chaos.corpus import scenario_names
 
-    return sorted(TRACE_POINTS) + sorted(SCENARIOS)
+    return sorted(TRACE_POINTS) + scenario_names()
 
 
 def run_traced(name: str, seed: int = 1):
-    """Run one observed trace-point or fault scenario.
+    """Run one observed trace-point or corpus scenario.
 
     Returns ``(observabilities, result, outcome)``: the per-bed
     observers, the benchmark result for experiment trace points (else
-    None), and the scenario outcome for fault names (else None).
+    None), and the scenario outcome for scenario names (else None).
     """
-    from ..faults import SCENARIOS, run_scenario
-
     if name in TRACE_POINTS:
         from ..bench.runner import TestBed
 
@@ -93,12 +92,16 @@ def run_traced(name: str, seed: int = 1):
         obs.profiler = bed.profiler
         obs.latency_trace = result.trace
         return session.observabilities, result, None
-    if name in SCENARIOS:
-        outcome = run_scenario(name, seed=seed, verify_determinism=True, observe=True)
-        return outcome.observabilities or [], None, outcome
-    raise ConfigError(
-        f"unknown trace target {name!r} (expected one of {', '.join(trace_names())})"
-    )
+    names = trace_names()
+    if name not in names:
+        raise ConfigError(
+            f"unknown trace target {name!r} (expected one of {', '.join(names)})"
+        )
+    from ..chaos import load_scenario, run_spec
+    from ..chaos.corpus import scenario_path
+
+    outcome = run_spec(load_scenario(scenario_path(name)), seed=seed, observe=True)
+    return outcome.observabilities or [], None, outcome
 
 
 def write_bundle(

@@ -2,13 +2,15 @@
 
 import io
 
+from repro.chaos import run_spec
 from repro.experiments.cli import main as cli_main, run_fault_scenarios
-from repro.faults import run_scenario
+
+from tests.chaos.helpers import corpus_spec
 
 
 def test_sanitized_scenario_adds_passing_invariants():
-    outcome = run_scenario(
-        "jukebox", seed=1, verify_determinism=False, sanitize=True
+    outcome = run_spec(
+        corpus_spec("jukebox"), seed=1, verify_determinism=False, sanitize=True
     )
     names = [inv.name for inv in outcome.invariants]
     assert "sanitize-locks" in names
@@ -19,20 +21,21 @@ def test_sanitized_scenario_adds_passing_invariants():
 
 def test_sanitizers_do_not_perturb_the_fingerprint():
     # The sanitized first run must fingerprint identically to both the
-    # unsanitized replay (checked inside run_scenario) and a fully
+    # unsanitized replay (checked inside run_spec) and a fully
     # unsanitized run (checked here).
-    sanitized_outcome = run_scenario(
-        "lossy-burst", seed=1, verify_determinism=True, sanitize=True
+    spec = corpus_spec("lossy-burst")
+    sanitized_outcome = run_spec(
+        spec, seed=1, verify_determinism=True, sanitize=True
     )
-    plain_outcome = run_scenario(
-        "lossy-burst", seed=1, verify_determinism=False, sanitize=False
+    plain_outcome = run_spec(
+        spec, seed=1, verify_determinism=False, sanitize=False
     )
     assert sanitized_outcome.passed
     assert sanitized_outcome.fingerprint == plain_outcome.fingerprint
 
 
 def test_unsanitized_scenario_has_no_sanitize_rows():
-    outcome = run_scenario("jukebox", seed=1, verify_determinism=False)
+    outcome = run_spec(corpus_spec("jukebox"), seed=1, verify_determinism=False)
     assert not any(inv.name.startswith("sanitize-") for inv in outcome.invariants)
 
 

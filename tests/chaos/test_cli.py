@@ -1,8 +1,8 @@
-"""CLI exit-code gating for the chaos surface (and the legacy lock-in).
+"""CLI exit-code gating for the chaos surface.
 
-Satellite contract: ``repro-nfs faults``, ``fleet``, ``run
-<scenario.json>``, ``corpus``, and ``fuzz`` all exit non-zero on any
-invariant failure or expectation drift, so CI can gate on them.
+Contract: ``repro-nfs faults``, ``fleet``, ``run <scenario.json>``,
+``corpus``, and ``fuzz`` all exit non-zero on any invariant failure or
+expectation drift, so CI can gate on them.
 """
 
 import io
@@ -12,20 +12,23 @@ import os
 import pytest
 
 from repro.chaos import pin_expectations, run_spec, save_scenario
-from repro.chaos.legacy import legacy_specs
+from repro.chaos.checks import CHECKS, Invariant
 from repro.chaos.spec import ExpectSpec
 from repro.experiments.cli import (
     main,
     run_corpus,
     run_fault_scenarios,
+    run_fleet,
     run_scenario_files,
 )
+
+from .helpers import corpus_spec
 
 REPO = os.path.join(os.path.dirname(__file__), "..", "..")
 
 
 def _pinned(name, tmp_path, **replace):
-    spec = legacy_specs()[name]
+    spec = corpus_spec(name)
     if replace:
         spec = spec.replace(**replace)
     outcome = run_spec(spec, verify_determinism=False)
@@ -79,7 +82,7 @@ def test_corpus_command_gates_on_drift(tmp_path):
     assert "1 scenario(s) replayed" in out.getvalue()
 
     # Tamper a pinned verdict: the same corpus must now fail.
-    spec = legacy_specs()["jukebox"]
+    spec = corpus_spec("jukebox")
     tampered = spec.replace(
         expect=ExpectSpec(passed=False, failed=("stability",), fingerprint=None)
     )
@@ -121,31 +124,146 @@ def test_fuzz_rejects_bad_draws():
         main(["fuzz", "--draws", "0"])
 
 
-def test_faults_exits_nonzero_on_invariant_failure(monkeypatch):
-    """Lock in the satellite: a failing scripted scenario must surface
-    as a False return (exit 1 in main)."""
-    from repro.faults import scenarios as sc
-
-    def rigged(seed):
-        return {"seed": seed}, [sc.Invariant("rigged", False, "forced")]
-
+def _rigged(monkeypatch, kind):
+    """Make the registry check ``kind`` fail every run it audits."""
     monkeypatch.setitem(
-        sc.SCENARIOS, "rigged", sc.Scenario("rigged", "always fails", rigged)
+        CHECKS, kind, lambda ctx, params: [Invariant("rigged", False, "forced")]
     )
+
+
+def test_faults_exits_nonzero_on_invariant_failure(monkeypatch):
+    """A failing check must surface as a False return (exit 1 in main)."""
+    _rigged(monkeypatch, "jukebox-injected")
     out = io.StringIO()
     assert (
-        run_fault_scenarios(["rigged"], seed=1, verify=False, out=out) is False
+        run_fault_scenarios(["jukebox"], seed=1, verify=False, out=out) is False
     )
-    assert main(["faults", "--scenario", "rigged", "--no-verify"]) == 1
+    assert "[VIOLATED] rigged — forced" in out.getvalue()
+    assert main(["faults", "--scenario", "jukebox", "--no-verify"]) == 1
+
+
+def test_fleet_exits_nonzero_on_invariant_failure(monkeypatch):
+    _rigged(monkeypatch, "within-ingest-envelope")
+    out = io.StringIO()
+    assert (
+        run_fleet(2, "netapp", file_kib=64, verify=False, out=out) is False
+    )
+    assert out.getvalue().count("FAIL fleet") == 1
+    assert (
+        main(["fleet", "--clients", "2", "--file-kib", "64", "--no-verify"])
+        == 1
+    )
 
 
 def test_run_mixes_scenarios_and_experiments_gate_together(tmp_path):
     """`run` accepts .json paths alongside experiment ids; a failing
     scenario fails the combined run even if experiments pass."""
-    spec = legacy_specs()["jukebox"].replace(
+    spec = corpus_spec("jukebox").replace(
         expect=ExpectSpec(passed=False, failed=("stability",), fingerprint=None)
     )
     path = save_scenario(spec, str(tmp_path))
     out = io.StringIO()
     assert run_scenario_files([path], out=out) is False
     assert "DRIFT" in out.getvalue()
+
+
+# -- repro-nfs fleet ----------------------------------------------------------
+
+
+def _rows(text):
+    """The invariant row names a fleet run printed, [host] suffixes kept."""
+    return [
+        line.split("] ", 1)[1].split(" — ")[0]
+        for line in text.splitlines()
+        if line.startswith("  [")
+    ]
+
+
+def test_fleet_closed_loop_rows_come_from_the_check_registry():
+    out = io.StringIO()
+    assert run_fleet(4, "netapp", file_kib=128, out=out) is True
+    text = out.getvalue()
+    assert "PASS fleet" in text
+    rows = _rows(text)
+    assert rows[0].startswith("files-complete-durable[")
+    assert rows[1].startswith("within-ingest-envelope[")
+    assert rows[2:] == ["fair-share", "deterministic"]
+    assert "[VIOLATED]" not in text
+
+
+def test_staggered_fleet_has_no_fair_share_row():
+    out = io.StringIO()
+    assert (
+        run_fleet(3, "linux", file_kib=64, stagger_us=500, verify=False, out=out)
+        is True
+    )
+    rows = _rows(out.getvalue())
+    assert "fair-share" not in rows
+    assert any(r.startswith("files-complete-durable[") for r in rows)
+
+
+def test_open_loop_fleet_writes_slo_report(tmp_path):
+    slo_path = str(tmp_path / "slo.json")
+    out = io.StringIO()
+    ok = run_fleet(
+        2,
+        "netapp",
+        arrivals="rate=200 duration_ms=20 bytes=16384",
+        verify=False,
+        slo_out=slo_path,
+        out=out,
+    )
+    assert ok is True
+    rows = _rows(out.getvalue())
+    assert rows[0] == "open-loop-complete"
+    assert not any(r.startswith("files-complete-durable") for r in rows)
+    assert "fair-share" not in rows
+    with open(slo_path, encoding="utf-8") as fh:
+        assert json.load(fh)["schema"] == "repro-nfs/slo-report@1"
+
+
+def test_one_client_fleet_runs_on_the_topology_path():
+    out = io.StringIO()
+    assert run_fleet(1, "linux", file_kib=64, verify=False, out=out) is True
+    text = out.getvalue()
+    assert text.startswith("1 x stock client(s) -> linux")
+    assert _rows(text)[0].startswith("files-complete-durable[")
+
+
+def test_one_client_fleet_still_gets_its_sharded_replay():
+    out = io.StringIO()
+    assert run_fleet(1, "linux", file_kib=64, shards=2, out=out) is True
+    assert _rows(out.getvalue())[-1] == "serial-equivalence"
+
+
+def test_sanitized_sharded_fleet_audits_the_sharded_run(monkeypatch):
+    """A finding raised only during the sharded replay fails the
+    sanitizer rows, so ``--sanitize --shards N`` audits that run."""
+    from repro.analysis.sanitize.report import RuntimeFinding
+    from repro.analysis.sanitize.runtime import active_session
+    from repro.parallel import des
+
+    real = des.run_sharded_fleet
+
+    def sharded_with_a_race(job, shards, transport, faults):
+        outcome = real(job, shards=shards, transport="inline", faults=faults)
+        planted = RuntimeFinding("race", "planted in the sharded run")
+        active_session().harnesses.append(des.engine._ShippedFindings([planted]))
+        return outcome
+
+    monkeypatch.setattr(des, "run_sharded_fleet", sharded_with_a_race)
+    out = io.StringIO()
+    assert (
+        run_fleet(2, "linux", file_kib=64, shards=2, sanitize=True, out=out)
+        is False
+    )
+    text = out.getvalue()
+    assert "[VIOLATED] sanitize-races — [race] t=0ns: planted" in text
+    assert "[ok      ] sanitize-locks" in text
+    assert "[ok      ] serial-equivalence" in text
+
+
+def test_fleet_rejects_no_verify_with_shards():
+    with pytest.raises(SystemExit) as exc:
+        main(["fleet", "--clients", "2", "--shards", "2", "--no-verify"])
+    assert exc.value.code == 2

@@ -14,10 +14,10 @@ from repro.chaos import (
     save_regression,
     save_scenario,
 )
-from repro.chaos.legacy import corpus_specs, legacy_specs
+from repro.chaos.spec import ExpectSpec
 from repro.errors import ConfigError
 
-CORPUS = os.path.join(os.path.dirname(__file__), "..", "..", "scenarios")
+from .helpers import CORPUS, corpus_names, corpus_spec
 
 
 def test_corpus_discovery_excludes_templates(tmp_path):
@@ -40,26 +40,8 @@ def test_missing_corpus_is_config_error(tmp_path):
         corpus_files(str(tmp_path / "nowhere"))
 
 
-def test_checked_in_corpus_covers_every_builder():
-    files = {
-        os.path.splitext(os.path.basename(p))[0]
-        for p in corpus_files(CORPUS, include_regressions=False)
-    }
-    assert set(corpus_specs()) <= files
-
-
-def test_checked_in_files_match_their_builders():
-    """scenarios/*.json must be exactly what regen_scenarios.py writes
-    (modulo the pinned expect block, which the builders do not carry)."""
-    for name, spec in corpus_specs().items():
-        on_disk = load_scenario(os.path.join(CORPUS, f"{name}.json"))
-        assert on_disk.replace(expect=spec.expect) == spec, name
-        assert on_disk.expect.passed is True
-        assert on_disk.expect.fingerprint
-
-
 def test_replay_detects_fingerprint_drift(tmp_path):
-    spec = legacy_specs()["slot-starvation"]
+    spec = corpus_spec("slot-starvation")
     outcome = run_spec(spec, verify_determinism=False)
     pinned = pin_expectations(spec, outcome)
     tampered = pinned.replace(
@@ -77,7 +59,7 @@ def test_replay_detects_fingerprint_drift(tmp_path):
 
 
 def test_replay_detects_verdict_drift(tmp_path):
-    spec = legacy_specs()["slot-starvation"]
+    spec = corpus_spec("slot-starvation")
     outcome = run_spec(spec, verify_determinism=False)
     pinned = pin_expectations(spec, outcome)
     tampered = pinned.replace(
@@ -96,7 +78,7 @@ def test_replay_detects_verdict_drift(tmp_path):
 
 def test_unpinned_scenario_gates_on_its_own_verdict(tmp_path):
     """A file with no expect block is still a CI gate: the run must pass."""
-    spec = legacy_specs()["slot-starvation"]
+    spec = corpus_spec("slot-starvation").replace(expect=ExpectSpec())
     path = save_scenario(spec, str(tmp_path))
     replay = replay_file(path, verify_determinism=False)
     assert replay.ok  # no expectations to violate...
@@ -114,7 +96,7 @@ def test_unpinned_scenario_gates_on_its_own_verdict(tmp_path):
 
 
 def test_save_regression_lands_in_subdir_with_provenance(tmp_path):
-    spec = legacy_specs()["jukebox"]
+    spec = corpus_spec("jukebox")
     outcome = run_spec(spec, verify_determinism=False)
     path = save_regression(
         spec, outcome, str(tmp_path), provenance=(("fuzz_seed", 9),)
@@ -127,12 +109,12 @@ def test_save_regression_lands_in_subdir_with_provenance(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "name", ["fleet-crash-commit", "fleet-starved-client"]
+    "name", [n for n in corpus_names() if n != "fig1-throughput"]
 )
 def test_fleet_corpus_scenarios_replay_strictly(name):
-    """The fleet scenarios exist only declaratively (no scripted twin),
-    so their pinned expectations are replayed here rather than in the
-    equivalence tests."""
+    """Every fault scenario is defined only by its corpus file, so its
+    pinned fingerprint and verdicts are the behaviour spec: replaying
+    the file must reproduce both exactly."""
     replay = replay_file(
         os.path.join(CORPUS, f"{name}.json"), verify_determinism=False
     )
@@ -141,12 +123,17 @@ def test_fleet_corpus_scenarios_replay_strictly(name):
 
 
 def test_corpus_files_are_canonical_json():
+    """scenarios/*.json must be exactly what regen_scenarios.py writes:
+    canonical JSON with a passing verdict and a fingerprint pinned."""
     for path in corpus_files(CORPUS, include_regressions=False):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
         doc = json.loads(text)
-        assert text == load_scenario(path).to_json(), path
+        spec = load_scenario(path)
+        assert text == spec.to_json(), path
         assert doc["schema"] == "repro-nfs/scenario@1"
+        assert spec.expect.passed is True, path
+        assert spec.expect.fingerprint, path
 
 
 # -- experiment scenarios (paper figures replayed as corpus gates) ------------

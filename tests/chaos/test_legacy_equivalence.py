@@ -1,36 +1,18 @@
-"""The declarative corpus must stay bit-identical to the scripted scenarios.
+"""Corpus files survive a JSON round trip unchanged.
 
-Each legacy chaos scenario in :mod:`repro.faults.scenarios` has a
-declarative twin in :mod:`repro.chaos.legacy`.  These tests replay both
-forms at the default seed and require the exact same payload
-fingerprint and the exact same invariant verdicts — so the scenario
-corpus can never drift from the scripted originals unnoticed.
+Each scenario is defined only by its file under ``scenarios/``, so
+serialising the loaded spec and loading it back must give the same
+spec — nothing a file declares may be lost or reinterpreted on the way.
 """
 
 import pytest
 
-from repro.chaos import loads_scenario, run_spec
-from repro.chaos.legacy import legacy_specs
-from repro.faults.scenarios import run_scenario
+from repro.chaos import loads_scenario
 
-LEGACY_NAMES = sorted(legacy_specs())
+from .helpers import corpus_names, corpus_spec
 
 
-def _rows(outcome):
-    return [(inv.name, inv.ok) for inv in outcome.invariants]
-
-
-@pytest.mark.parametrize("name", LEGACY_NAMES)
-def test_declarative_twin_matches_scripted_scenario(name):
-    spec = legacy_specs()[name]
-    scripted = run_scenario(name, seed=1, verify_determinism=False)
-    declared = run_spec(spec, verify_determinism=False)
-    assert declared.fingerprint == scripted.fingerprint
-    assert _rows(declared) == _rows(scripted)
-    assert declared.passed
-
-
-@pytest.mark.parametrize("name", LEGACY_NAMES)
+@pytest.mark.parametrize("name", corpus_names())
 def test_declarative_twin_survives_json_round_trip(name):
-    spec = legacy_specs()[name]
+    spec = corpus_spec(name)
     assert loads_scenario(spec.to_json()) == spec

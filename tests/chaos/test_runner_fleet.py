@@ -9,7 +9,6 @@ durability — and the run reduces bit-identically under ``--shards``.
 import pytest
 
 from repro.chaos import run_spec
-from repro.chaos.legacy import corpus_specs
 from repro.chaos.spec import (
     BedSpec,
     CheckSpec,
@@ -22,6 +21,8 @@ from repro.chaos.spec import (
 from repro.errors import ConfigError
 from repro.units import KIB, ms
 
+from .helpers import corpus_spec
+
 
 def _inv(outcome, name):
     """Invariant row by name; per-server rows carry a [host] suffix."""
@@ -32,7 +33,7 @@ def _inv(outcome, name):
 
 
 def test_fleet_crash_commit_redirties_every_client():
-    spec = corpus_specs()["fleet-crash-commit"]
+    spec = corpus_spec("fleet-crash-commit")
     outcome = run_spec(spec, verify_determinism=False, shards=2)
     assert outcome.passed, [
         (i.name, i.detail) for i in outcome.invariants if not i.ok
@@ -51,7 +52,7 @@ def test_fleet_crash_commit_redirties_every_client():
 
 
 def test_fleet_starvation_routes_to_owning_client():
-    spec = corpus_specs()["fleet-starved-client"]
+    spec = corpus_spec("fleet-starved-client")
     outcome = run_spec(spec, verify_determinism=False, shards=2)
     assert outcome.passed
     assert _inv(outcome, "serial-equivalence").ok

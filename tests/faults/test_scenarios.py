@@ -4,21 +4,18 @@ import io
 
 import pytest
 
+from repro.chaos import run_spec, scenario_path
 from repro.errors import ConfigError
-from repro.faults import (
-    SCENARIOS,
-    ServerFaultSchedule,
-    SlotStarvation,
-    run_scenario,
-    run_scenario_payload,
-)
+from repro.faults import ServerFaultSchedule, SlotStarvation
 from repro.experiments.cli import main, run_fault_scenarios
 from repro.sim import Simulator
 from repro.units import ms
 
+from tests.chaos.helpers import CORPUS, corpus_names, corpus_spec
+
 
 def test_registry_has_the_full_scenario_suite():
-    assert set(SCENARIOS) == {
+    assert set(corpus_names()) >= {
         "lossy-burst",
         "server-restart",
         "soft-timeout",
@@ -26,11 +23,11 @@ def test_registry_has_the_full_scenario_suite():
         "slot-starvation",
         "monotone-loss",
     }
-    assert all(SCENARIOS[name].description for name in SCENARIOS)
+    assert all(corpus_spec(name).description for name in corpus_names())
 
 
 def test_jukebox_scenario_passes():
-    outcome = run_scenario("jukebox", seed=1, verify_determinism=False)
+    outcome = run_spec(corpus_spec("jukebox"), seed=1, verify_determinism=False)
     assert outcome.passed
     names = {inv.name for inv in outcome.invariants}
     assert "jukebox-injected" in names
@@ -38,7 +35,9 @@ def test_jukebox_scenario_passes():
 
 
 def test_soft_timeout_scenario_surfaces_eio():
-    outcome = run_scenario("soft-timeout", seed=1, verify_determinism=False)
+    outcome = run_spec(
+        corpus_spec("soft-timeout"), seed=1, verify_determinism=False
+    )
     assert outcome.passed
     by_name = {inv.name: inv for inv in outcome.invariants}
     assert by_name["eio-surfaced"].ok
@@ -46,25 +45,29 @@ def test_soft_timeout_scenario_surfaces_eio():
 
 
 def test_determinism_invariant_appended_when_verifying():
-    outcome = run_scenario("slot-starvation", seed=2, verify_determinism=True)
+    outcome = run_spec(
+        corpus_spec("slot-starvation"), seed=2, verify_determinism=True
+    )
     assert outcome.passed
     by_name = {inv.name: inv for inv in outcome.invariants}
     assert by_name["deterministic"].ok
 
 
 def test_payload_is_seed_sensitive_and_repeatable():
-    one = run_scenario_payload("lossy-burst", seed=1)
-    again = run_scenario_payload("lossy-burst", seed=1)
-    other = run_scenario_payload("lossy-burst", seed=9)
-    assert one == again
-    assert one["fingerprint"] != other["fingerprint"]
+    spec = corpus_spec("lossy-burst")
+    one = run_spec(spec, seed=1, verify_determinism=False)
+    again = run_spec(spec, seed=1, verify_determinism=False)
+    other = run_spec(spec, seed=9, verify_determinism=False)
+    assert one.payload == again.payload
+    assert one.fingerprint == again.fingerprint
+    assert one.fingerprint != other.fingerprint
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(ConfigError):
-        run_scenario("no-such-chaos")
-    with pytest.raises(ConfigError):
-        run_scenario_payload("no-such-chaos")
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        scenario_path("no-such-chaos", CORPUS)
+    with pytest.raises(ConfigError, match="unknown scenario"):
+        run_fault_scenarios(["no-such-chaos"], seed=1, out=io.StringIO())
 
 
 def test_cli_runner_prints_verdicts():
@@ -79,8 +82,9 @@ def test_cli_runner_prints_verdicts():
 def test_cli_faults_list(capsys):
     assert main(["faults", "--list"]) == 0
     captured = capsys.readouterr().out
-    for name in SCENARIOS:
+    for name in corpus_names():
         assert name in captured
+        assert corpus_spec(name).description in captured
 
 
 def test_cli_rejects_unknown_scenario():

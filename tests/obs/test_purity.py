@@ -13,8 +13,10 @@ import hashlib
 import pytest
 
 from repro.bench.runner import TestBed
-from repro.faults import run_scenario
+from repro.chaos import run_spec
 from repro.units import MIB
+
+from tests.chaos.helpers import corpus_spec
 
 
 def _fingerprint(target: str, client: str, file_bytes: int, observe: bool):
@@ -44,10 +46,10 @@ def test_observed_run_is_bit_identical(target, client):
 
 
 def test_observed_chaos_scenario_is_bit_identical():
-    # run_scenario's replay runs WITHOUT the observer; a matching
+    # run_spec's replay runs WITHOUT the observer; a matching
     # fingerprint therefore proves the observed first run unperturbed.
-    outcome = run_scenario(
-        "jukebox", seed=1, verify_determinism=True, observe=True
+    outcome = run_spec(
+        corpus_spec("jukebox"), seed=1, verify_determinism=True, observe=True
     )
     assert outcome.passed, [i for i in outcome.invariants if not i.ok]
     det = next(i for i in outcome.invariants if i.name == "deterministic")
