@@ -36,7 +36,7 @@ from typing import Any, ClassVar, Dict, List, Optional, Tuple, Type
 
 from ..errors import ConfigError
 from ..obs.core import DISABLED
-from ..sim import AllOf, RngStreams
+from ..sim import AllOf, RngStreams, all_done
 from ..units import KIB, MB, PAGE_SIZE, throughput, to_us
 from .bonnie import SequentialWriteBenchmark
 from .latency import LatencyTrace
@@ -559,7 +559,7 @@ def run_workload(bed: TestBed, tasks, time_limit_ns: Optional[int] = None):
     have finished, re-raising the first failure.
     """
     spawned = [bed.sim.spawn(gen, name=name, daemon=True) for name, gen in tasks]
-    bed.sim.run_until(lambda: all(t.done for t in spawned), limit=time_limit_ns)
+    bed.sim.run_until(all_done(spawned), limit=time_limit_ns)
     for task in spawned:
         if not task.done:
             raise ConfigError(f"workload task {task.name!r} did not finish")

@@ -56,14 +56,18 @@ class Host:
 
     def _rx_fragment(self, frag: Fragment, complete: Optional[Datagram]) -> None:
         self.rx_fragments += 1
-        self.sim.spawn(
-            self._rx_work(complete), name=f"{self.name}-rx-irq", daemon=True
+        self.sim.call_after(0, self._rx_irq, complete)
+
+    def _rx_irq(self, complete: Optional[Datagram]) -> None:
+        self.cpus.submit(
+            self.costs.rx_frame_irq,
+            "net_rx_irq",
+            PRIO_INTERRUPT,
+            self._rx_done,
+            complete,
         )
 
-    def _rx_work(self, complete: Optional[Datagram]):
-        yield from self.cpus.execute(
-            self.costs.rx_frame_irq, label="net_rx_irq", priority=PRIO_INTERRUPT
-        )
+    def _rx_done(self, complete: Optional[Datagram]) -> None:
         if complete is not None:
             self.rx_datagrams += 1
             self.udp.deliver(complete)

@@ -27,7 +27,7 @@ from ...config import NetConfig
 from ...net.link import Link
 from ...net.switch import Switch
 from ...obs.core import Observability, ScopedObservability
-from ...sim import Simulator
+from ...sim import Simulator, all_done
 from ...topology.build import ClientStack, materialise_server, _named_server_specs
 from ...topology.fleet import fleet_workload_for, server_rows
 from .plan import FleetFaults, ShardPlan, client_names
@@ -183,6 +183,7 @@ class ClientShardWorld:
             )
             for stack, workload in zip(self.stacks, self.workloads)
         ]
+        self._all_done = all_done(self.tasks)
 
     # -- window protocol -----------------------------------------------------
 
@@ -192,7 +193,7 @@ class ClientShardWorld:
             port = self.switch.port(frag.dgram.dst)
             self.sim.call_at(time, port._arrive, frag)
         self.sim.run_window(end)
-        done = all(t.done for t in self.tasks)
+        done = self._all_done()
         return {
             "outbox": _drain_outboxes(self.boundaries),
             "next": self.sim.next_event_time(),

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.sim import Simulator, Task, Timeout, Event, Lock,
+    from repro.sim import Simulator, Task, Timeout, all_done, Event, Lock,
         MonitoredLock, Semaphore, WaitQueue, CpuSet, SamplingProfiler,
         RngStreams, Tracer
 """
@@ -12,7 +12,7 @@ from .cpu import PRIO_INTERRUPT, PRIO_KERNEL, PRIO_USER, CpuSet
 from .profiler import SamplingProfiler
 from .rng import RngStreams
 from .sync import Event, Lock, LockStats, MonitoredLock, Semaphore, WaitQueue
-from .task import AllOf, Task, Timeout, Waitable
+from .task import AllOf, Task, Timeout, Waitable, all_done
 from .trace import TraceRecord, Tracer
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "Timeout",
     "Waitable",
     "AllOf",
+    "all_done",
     "Event",
     "Lock",
     "LockStats",

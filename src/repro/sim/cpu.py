@@ -1,10 +1,11 @@
 """CPU model: a set of cores on which tasks charge labelled compute time.
 
-A task performs work with ``yield from cpus.execute(ns, label)``.  The
-request queues until a core is free; the core then runs it to completion
-(work units in this codebase are all a few tens of microseconds, so
-non-preemptive slots are an adequate model of the 2.4 kernel, which did
-not preempt kernel code either).
+A task performs work with ``yield from cpus.execute(ns, label)``; event
+callbacks (receive interrupts) use ``cpus.submit(ns, label, priority,
+fn, *args)``.  The request queues until a core is free; the core then
+runs it to completion (work units in this codebase are all a few tens
+of microseconds, so non-preemptive slots are an adequate model of the
+2.4 kernel, which did not preempt kernel code either).
 
 Three priority levels mirror interrupt > softirq/kernel daemon > user
 work.  Exact per-label time accounting feeds the profiler-style reports
@@ -14,11 +15,11 @@ the paper relies on for its diagnosis.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import SimulationError
 from .core import Simulator
-from .sync import Event
+from .task import Task, Waitable
 
 __all__ = ["CpuSet", "PRIO_INTERRUPT", "PRIO_KERNEL", "PRIO_USER"]
 
@@ -27,15 +28,37 @@ PRIO_KERNEL = 1
 PRIO_USER = 2
 
 
-class _ExecRequest:
-    __slots__ = ("priority", "seq", "duration", "label", "event")
+class _ExecRequest(Waitable):
+    """One CPU slot and the continuation that runs when it completes.
 
-    def __init__(self, priority: int, seq: int, duration: int, label: str, event: Event):
+    A task yields the request itself: :meth:`_arm` records the task's
+    step as the continuation.  A :meth:`CpuSet.submit` request carries
+    its callback from the start.
+    """
+
+    __slots__ = ("priority", "seq", "duration", "label", "fn", "args")
+
+    def __init__(
+        self,
+        priority: int,
+        seq: int,
+        duration: int,
+        label: str,
+        fn: Optional[Callable[..., None]],
+        args: Tuple[Any, ...],
+    ):
         self.priority = priority
         self.seq = seq
         self.duration = duration
         self.label = label
-        self.event = event
+        self.fn = fn
+        self.args = args
+
+    def _arm(self, task: Task) -> None:
+        # Slots are never zero-length, so this always runs before
+        # CpuSet._complete does.
+        self.fn = task._step
+        self.args = (None, None)
 
 
 class CpuSet:
@@ -67,16 +90,48 @@ class CpuSet:
         if duration == 0:
             return
             yield  # pragma: no cover - generator marker
-        event = Event(self._sim)
+        yield self._request(duration, label, priority, None, ())
+
+    def submit(
+        self,
+        duration: int,
+        label: str,
+        priority: int,
+        fn: Callable[..., None],
+        *args: Any,
+    ) -> None:
+        """Callback form of :meth:`execute`: charge ``duration`` ns under
+        ``label``, then run ``fn(*args)``.
+
+        The slot queues exactly like a task's, and ``fn`` is scheduled
+        with zero delay when it completes, where a task's resumed step
+        would be.  A zero ``duration`` runs ``fn`` at once, as a task
+        runs on past a zero-length :meth:`execute` without yielding.
+        """
+        if duration < 0:
+            raise SimulationError(f"{self.name}: negative duration {duration}")
+        if duration == 0:
+            fn(*args)
+            return
+        self._request(duration, label, priority, fn, args)
+
+    # -- internals -------------------------------------------------------------
+
+    def _request(
+        self,
+        duration: int,
+        label: str,
+        priority: int,
+        fn: Optional[Callable[..., None]],
+        args: Tuple[Any, ...],
+    ) -> _ExecRequest:
         self._seq += 1
-        req = _ExecRequest(priority, self._seq, duration, label, event)
+        req = _ExecRequest(priority, self._seq, duration, label, fn, args)
         if self._free:
             self._start(self._free.pop(), req)
         else:
             heapq.heappush(self._queue, (priority, req.seq, req))
-        yield event
-
-    # -- internals -------------------------------------------------------------
+        return req
 
     def _start(self, core: int, req: _ExecRequest) -> None:
         self.core_labels[core] = req.label
@@ -93,7 +148,7 @@ class CpuSet:
             self._start(core, nxt)
         else:
             self._free.append(core)
-        req.event.trigger()
+        self._sim.call_after(0, req.fn, *req.args)
 
     # -- reporting --------------------------------------------------------------
 

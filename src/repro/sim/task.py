@@ -24,12 +24,12 @@ pass silently.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from ..errors import SimulationError, TaskFailed
 from .core import Simulator
 
-__all__ = ["Waitable", "Timeout", "Task", "AllOf"]
+__all__ = ["Waitable", "Timeout", "Task", "AllOf", "all_done"]
 
 
 class Waitable:
@@ -37,7 +37,8 @@ class Waitable:
 
     Subclasses implement :meth:`_arm`, which is called exactly once with
     the yielding task; the waitable must eventually call
-    ``task._resume(value)`` or ``task._throw(exc)``.
+    ``task._resume(value)`` or ``task._throw(exc)``, or schedule
+    ``task._step(None, None)`` itself as a CPU slot does.
     """
 
     __slots__ = ()
@@ -176,6 +177,23 @@ class Task(Waitable):
                 joiner._throw(error)
             else:
                 joiner._resume(result)
+
+
+def all_done(tasks: Iterable[Task]) -> Callable[[], bool]:
+    """A ``run_until`` predicate: true once every task has finished.
+
+    Amortised O(1) per call where ``all(t.done for t in tasks)`` is
+    O(tasks): ``done`` never reverts, so finished tasks are popped off
+    the tail of a pending list and never looked at again.
+    """
+    pending = list(tasks)
+
+    def predicate() -> bool:
+        while pending and pending[-1].done:
+            pending.pop()
+        return not pending
+
+    return predicate
 
 
 class AllOf(Waitable):

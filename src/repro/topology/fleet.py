@@ -30,6 +30,7 @@ from ..analysis.stats import jain_index
 from ..bench.bonnie import BenchmarkResult
 from ..cache import fingerprint
 from ..errors import ConfigError
+from ..sim import all_done
 from ..units import throughput, to_mbps, to_us
 from .build import Topology
 from .spec import ClientSpec, ServerSpec, SwitchSpec
@@ -219,7 +220,7 @@ class FleetWorkload:
                     daemon=True,
                 )
             )
-        sim.run_until(lambda: all(t.done for t in tasks), limit=time_limit_ns)
+        sim.run_until(all_done(tasks), limit=time_limit_ns)
         stragglers = [
             stack.name for stack, t in zip(topo.clients, tasks) if not t.done
         ]

@@ -78,3 +78,20 @@ def test_send_cost_monotone_in_size():
     costs = [host.udp.send_cost(size) for size in (100, 2000, 8392, 30000)]
     assert costs == sorted(costs)
     assert costs[0] > 0
+
+
+def test_error_delivering_a_received_datagram_propagates(monkeypatch):
+    """A failure in the receive path must fail the run, not vanish."""
+    from repro.net.udp import UdpStack
+
+    class DeliverFailed(Exception):
+        pass
+
+    def deliver(self, dgram):
+        raise DeliverFailed(dgram.dst)
+
+    sim, host = make_host()
+    monkeypatch.setattr(UdpStack, "deliver", deliver)
+    host.udp.socket(2049).sendto("peer", 9, "x", 10)
+    with pytest.raises(DeliverFailed, match="peer"):
+        sim.run()

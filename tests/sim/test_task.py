@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError, TaskFailed
-from repro.sim import AllOf, Simulator
+from repro.sim import AllOf, Simulator, all_done
 
 
 def test_task_runs_and_returns_value():
@@ -222,3 +222,19 @@ def test_current_task_visible_during_step():
     sim.run()
     assert seen == [task, task]
     assert sim.current_task is None
+
+
+@pytest.mark.parametrize("delays", [(30, 10, 20), (10, 20, 30), (30, 20, 10), ()])
+def test_all_done_turns_true_exactly_when_the_last_task_finishes(delays):
+    sim = Simulator()
+
+    def worker(delay):
+        yield sim.timeout(delay)
+
+    tasks = [sim.spawn(worker(d)) for d in delays]
+    sim.spawn(worker(100))  # outlives the group
+    predicate = all_done(tasks)
+    sim.run_until(predicate)
+    assert all(t.done for t in tasks)
+    assert sim.now == max(delays, default=0)
+    assert predicate()
