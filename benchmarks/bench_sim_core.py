@@ -10,7 +10,9 @@ speedups as a number, not a feeling.
 ``_SeedSimulator`` below is a faithful replica of the seed event loop
 (an :class:`EventHandle` allocated per event, per-event ``until`` and
 ``cancelled`` checks) kept as the fixed baseline; the fast-lane test
-asserts the current core beats it.
+asserts the current core beats it.  A second shape alternates each
+timed step with a zero-delay one, as a task resumes after a CPU slot
+does; those steps take the same-instant lane instead of the heap.
 """
 
 import heapq
@@ -75,6 +77,25 @@ def churn(sim):
     assert not any(left)
 
 
+def zero_delay_churn(sim):
+    """Like :func:`churn`, but every timed step is followed by a
+    zero-delay one."""
+    left = [EVENTS_PER_CHAIN // 2] * N_CHAINS
+
+    def tick(i):
+        sim.call_after(0, resume, i)
+
+    def resume(i):
+        left[i] -= 1
+        if left[i]:
+            sim.call_after(10 + i, tick, i)
+
+    for i in range(N_CHAINS):
+        sim.call_after(i, tick, i)
+    sim.run()
+    assert not any(left)
+
+
 def test_fast_lane_events_per_second(benchmark, capsys):
     from repro.sim import Simulator
 
@@ -103,6 +124,32 @@ def test_fast_lane_events_per_second(benchmark, capsys):
             f"{fast_rate / seed_rate:.2f}x)"
         )
     assert fast_rate > 1.3 * seed_rate
+
+
+def test_zero_delay_chain_events_per_second(benchmark, capsys):
+    """Timed steps each followed by a zero-delay step."""
+    from repro.sim import Simulator
+
+    def body():
+        sim = Simulator()
+        zero_delay_churn(sim)
+        return sim
+
+    sim = benchmark.pedantic(body, rounds=3, iterations=1)
+    assert sim.events_processed == TOTAL_EVENTS
+    rate = TOTAL_EVENTS / benchmark.stats.stats.min
+    seed_elapsed = min(
+        _timed(lambda: zero_delay_churn(_SeedSimulator())) for _ in range(3)
+    )
+    seed_rate = TOTAL_EVENTS / seed_elapsed
+    benchmark.extra_info["events_per_second"] = round(rate)
+    benchmark.extra_info["seed_events_per_second"] = round(seed_rate)
+    benchmark.extra_info["speedup_vs_seed"] = round(rate / seed_rate, 2)
+    with capsys.disabled():
+        print(
+            f"\nzero-delay chains: {rate:,.0f} ev/s "
+            f"(seed loop {seed_rate:,.0f} ev/s, {rate / seed_rate:.2f}x)"
+        )
 
 
 def test_task_stepping_events_per_second(benchmark, capsys):

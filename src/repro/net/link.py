@@ -30,7 +30,7 @@ the eager per-frame path (which reserves seqs identically).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..errors import ConfigError
 from ..obs.core import DISABLED
@@ -61,6 +61,7 @@ class Link:
         "_pending",
         "_head_armed",
         "_queue_series_key",
+        "_transfer_ns",
     )
 
     def __init__(
@@ -103,6 +104,9 @@ class Link:
         #: Cached timeline key: send() is the hottest path in the net
         #: layer, so the per-link key string is built exactly once.
         self._queue_series_key = f"net/{name}/queue_ns"
+        #: Serialisation time by frame size: a run sends a handful of
+        #: distinct sizes, and ``bandwidth`` is fixed for the link's life.
+        self._transfer_ns: Dict[int, int] = {}
 
     @staticmethod
     def _payload_span(args) -> int:
@@ -127,7 +131,12 @@ class Link:
             self.total_queue_ns += queued
             if queued > self.peak_queue_ns:
                 self.peak_queue_ns = queued
-        done_sending = start + transfer_time(wire_bytes, self.bandwidth)
+        xfer = self._transfer_ns.get(wire_bytes)
+        if xfer is None:
+            xfer = self._transfer_ns[wire_bytes] = transfer_time(
+                wire_bytes, self.bandwidth
+            )
+        done_sending = start + xfer
         self._busy_until = done_sending
         arrival = done_sending + self.latency_ns
         self.frames_sent += 1

@@ -18,7 +18,7 @@ is where multi-client contention for a server physically happens.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..config import NetConfig
 from ..errors import ConfigError
@@ -46,6 +46,7 @@ class Port:
         "_partial",
         "datagrams_sent",
         "datagrams_received",
+        "_frag_sizes",
     )
 
     def __init__(
@@ -75,13 +76,19 @@ class Port:
         self._partial: Dict[int, int] = {}
         self.datagrams_sent = 0
         self.datagrams_received = 0
+        #: Fragment wire sizes by datagram size (``net`` is frozen).
+        self._frag_sizes: Dict[int, Tuple[int, ...]] = {}
 
     # -- transmit -----------------------------------------------------------
 
     def send_datagram(self, dgram: Datagram) -> None:
         """Fragment ``dgram`` per this port's MTU and launch it."""
         dgram.dgram_id = self.switch._next_dgram_id()
-        sizes = fragment_sizes(dgram.size, self.net)
+        sizes = self._frag_sizes.get(dgram.size)
+        if sizes is None:
+            sizes = self._frag_sizes[dgram.size] = tuple(
+                fragment_sizes(dgram.size, self.net)
+            )
         count = len(sizes)
         for index, wire_bytes in enumerate(sizes):
             frag = Fragment(dgram, index, count, wire_bytes)

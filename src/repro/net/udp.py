@@ -90,13 +90,16 @@ class UdpSocket:
 class UdpStack:
     """Per-host socket table."""
 
-    __slots__ = ("host", "_sockets", "delivered", "dropped_no_socket")
+    __slots__ = ("host", "_sockets", "delivered", "dropped_no_socket", "_send_costs")
 
     def __init__(self, host: "Host"):
         self.host = host
         self._sockets: Dict[int, UdpSocket] = {}
         self.delivered = 0
         self.dropped_no_socket = 0
+        #: ``send_cost`` by payload size: the host's ``CpuCosts`` and
+        #: ``NetConfig`` are frozen, so the cost never changes.
+        self._send_costs: Dict[int, int] = {}
 
     def socket(self, port: int) -> UdpSocket:
         if port in self._sockets:
@@ -112,12 +115,15 @@ class UdpStack:
         portion, so jumbo frames genuinely cut the cost (§3.5's
         future-work hypothesis).
         """
-        total_ref = self.host.costs.sock_sendmsg
-        ref_frags = 6  # 8 KB + RPC header at MTU 1500
-        per_frag = int(total_ref * PER_FRAGMENT_FRACTION / ref_frags)
-        base = total_ref - per_frag * ref_frags
-        nfrags = fragment_count(payload_bytes, self.host.port.net)
-        return base + per_frag * nfrags
+        cost = self._send_costs.get(payload_bytes)
+        if cost is None:
+            total_ref = self.host.costs.sock_sendmsg
+            ref_frags = 6  # 8 KB + RPC header at MTU 1500
+            per_frag = int(total_ref * PER_FRAGMENT_FRACTION / ref_frags)
+            base = total_ref - per_frag * ref_frags
+            nfrags = fragment_count(payload_bytes, self.host.port.net)
+            cost = self._send_costs[payload_bytes] = base + per_frag * nfrags
+        return cost
 
     def deliver(self, dgram: Datagram) -> None:
         sock = self._sockets.get(dgram.dst_port)

@@ -6,8 +6,11 @@ worker per client shard.  Time advances in lookahead windows:
 1. compute ``m`` — the earliest event anywhere (worker heap heads, the
    hub's heap head, undelivered boundary frames) — and open the window
    ``[.., m + W)`` where ``W`` is the minimum client link latency;
-2. tell every worker to simulate up to the new horizon, handing it the
-   boundary frames collected for it so far;
+2. tell every worker that has work before the new horizon — inbound
+   boundary frames, or its own next event — to simulate up to it,
+   handing it those frames.  An idle worker is not stepped: its reply
+   is already known (an empty outbox, the same next event and done
+   flag), and its clock simply catches up in the next window it runs;
 3. while the workers run, simulate the hub up to the *previous*
    horizon (the hub lags one window so that when the last client
    finishes, the hub has not yet run past the completion time);
@@ -40,6 +43,10 @@ from .plan import FleetFaults, ShardPlan, build_plan
 from .worlds import ClientShardWorld, HubWorld
 
 __all__ = ["run_sharded_fleet", "ShardedFleetOutcome"]
+
+#: Seconds a process worker may take to answer one command (build its
+#: world and run a window, or finalise) before it counts as hung.
+WORKER_REPLY_DEADLINE_S = 300.0
 
 
 class InlineWorker:
@@ -116,6 +123,15 @@ class ProcessWorker:
         self.conn.send(("w", end, messages))
 
     def _recv(self) -> Dict[str, Any]:
+        # A dead worker closes its pipe (EOF); a hung one would block
+        # recv() forever, so wait against a progress deadline first.
+        if not self.conn.poll(WORKER_REPLY_DEADLINE_S):
+            self.process.terminate()
+            self.process.join(timeout=10)
+            raise ConfigError(
+                f"shard {self.shard_id} worker sent no reply within "
+                f"{WORKER_REPLY_DEADLINE_S:g} s; terminated it"
+            )
         try:
             reply = self.conn.recv()
         except EOFError:
@@ -256,21 +272,26 @@ def _drive(spec, plan, hub, workers, session, transport) -> ShardedFleetOutcome:
                 f"run_until hit the time limit at {spec.time_limit_ns} ns"
             )
         horizon = earliest + lookahead
+        stepped = []
         for shard, worker in enumerate(workers):
-            worker.send_window(horizon, pending[shard])
-            pending[shard] = []
+            msgs = pending[shard]
+            nxt = worker_next[shard]
+            if msgs or (nxt is not None and nxt < horizon):
+                worker.send_window(horizon, msgs)
+                pending[shard] = []
+                stepped.append(shard)
         # The hub lags one window: while the workers simulate
         # [prev_horizon, horizon), it catches up to prev_horizon.
         hub.run_window(prev_horizon, hub_inbox)
         hub_inbox = []
         for shard, msgs in hub.drain().items():
             pending[shard].extend(msgs)
-        for shard, worker in enumerate(workers):
-            reply = worker.recv_window()
+        for shard in stepped:
+            reply = workers[shard].recv_window()
             hub_inbox.extend(reply["outbox"])
             worker_next[shard] = reply["next"]
-            worker_done[shard] = reply["done"]
-            if reply["done"]:
+            if reply["done"] and not worker_done[shard]:
+                worker_done[shard] = True
                 ends.extend(reply["ends"])
         prev_horizon = horizon
 

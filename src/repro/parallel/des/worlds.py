@@ -198,7 +198,10 @@ class ClientShardWorld:
             "outbox": _drain_outboxes(self.boundaries),
             "next": self.sim.next_event_time(),
             "done": done,
-            "ends": [t.result[1] for t in self.tasks if t.done and t.error is None],
+            # Completion times, read by the driver once, when done.
+            "ends": [t.result[1] for t in self.tasks if t.error is None]
+            if done
+            else [],
         }
 
     def finalise(self) -> Dict[str, Any]:

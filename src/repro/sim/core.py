@@ -8,12 +8,30 @@ ties), which makes every run bit-for-bit reproducible.
 Simulated concurrency is expressed with generator-based tasks (see
 :mod:`repro.sim.task`); the core only knows about timed callbacks.
 
-Two scheduling lanes share one heap:
+Events live in two places:
+
+* the **heap** holds every timed event: positive delays, cancellable
+  events, and explicit ``call_at``/``push_at`` entries (which may be
+  due at the current instant too);
+* the **same-instant lane** is a FIFO of fire-and-forget callbacks due
+  at the current instant — every zero-delay :meth:`Simulator.call_after`
+  (task resumes, CPU slot completions, receive interrupts) lands there
+  without a heap sift.
+
+Both take their tie-break ``seq`` from one counter at scheduling time,
+so every event keeps the ``(time, seq)`` key it would have had on a
+heap-only queue.  A lane entry is due at ``now`` and the heap never
+holds anything earlier than ``now``, so the next event is the lane
+head unless the heap head is also at ``now`` with a smaller seq; the
+run loops check exactly that, and dispatch order is identical to one
+heap over both.  The clock only advances once the lane is empty.
+
+Two shapes of heap entry coexist:
 
 * :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at` return a
   cancellable :class:`EventHandle` (heap entry ``(time, seq, handle)``).
 * :meth:`Simulator.call_after` / :meth:`Simulator.call_at` are the fast
-  lane for the vast majority of events that are never cancelled (task
+  path for the vast majority of events that are never cancelled (task
   steps, timeouts, CPU slot completions, frame deliveries): the entry is
   a bare ``(time, seq, fn, args)`` tuple — no per-event object
   allocation, no ``cancelled`` test on dispatch.
@@ -30,7 +48,8 @@ without bound.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from collections import deque
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 from ..errors import SimulationError
 
@@ -74,6 +93,8 @@ class Simulator:
         self._seq: int = 0
         # Entries are (time, seq, EventHandle) or (time, seq, fn, args).
         self._queue: List[tuple] = []
+        #: Same-instant lane: ``(seq, fn, args)`` due at ``now``, in seq order.
+        self._lane: Deque[tuple] = deque()
         self._running = False
         self._cancelled = 0
         #: Total callbacks dispatched (cancelled entries excluded) — the
@@ -109,18 +130,23 @@ class Simulator:
         return handle
 
     def call_after(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
-        """Fast lane: like :meth:`schedule` but not cancellable.
+        """Fast path: like :meth:`schedule` but not cancellable.
 
         No :class:`EventHandle` is allocated; use this for fire-and-forget
-        callbacks on hot paths (it is what tasks and timeouts use).
+        callbacks on hot paths (it is what tasks and timeouts use).  A
+        zero delay goes on the same-instant lane instead of the heap.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        if delay:
+            if delay < 0:
+                raise SimulationError(f"cannot schedule in the past (delay={delay})")
+            self._seq += 1
+            heapq.heappush(self._queue, (self._now + delay, self._seq, fn, args))
+        else:
+            self._seq += 1
+            self._lane.append((self._seq, fn, args))
 
     def call_at(self, time: int, fn: Callable[..., None], *args: Any) -> None:
-        """Fast lane: like :meth:`schedule_at` but not cancellable."""
+        """Fast path: like :meth:`schedule_at` but not cancellable."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (now={self._now})"
@@ -141,7 +167,7 @@ class Simulator:
         return self._seq
 
     def push_at(self, time: int, seq: int, fn: Callable[..., None], *args: Any) -> None:
-        """Insert a fast-lane entry under a seq from :meth:`alloc_seq`."""
+        """Insert a fast-path heap entry under a seq from :meth:`alloc_seq`."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} (now={self._now})"
@@ -156,7 +182,7 @@ class Simulator:
         self._cancelled += 1
         if (
             self._cancelled >= _COMPACT_MIN_CANCELLED
-            and self._cancelled * 2 > len(self._queue)
+            and self._cancelled * 2 > len(self._queue) + len(self._lane)
         ):
             self._compact()
 
@@ -189,6 +215,11 @@ class Simulator:
         return Timeout(self, delay)
 
     # -- running ------------------------------------------------------------
+    #
+    # Every loop dispatches the lane head while it precedes the heap head:
+    # ``not queue or queue[0][0] > now or queue[0][1] > lane[0][0]`` (heap
+    # entries are never earlier than ``now``, so a heap head at ``now``
+    # competes on seq alone).  The clock moves only on heap dispatch.
 
     def run(self, until: Optional[int] = None) -> int:
         """Process events until the queue drains or ``until`` is reached.
@@ -201,32 +232,27 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         queue = self._queue
+        lane = self._lane
+        popleft = lane.popleft
         heappop = heapq.heappop
         processed = 0
+        now = self._now
         try:
             if until is None:
                 # Hoisted fast loop: no bound check per event.
-                while queue:
-                    entry = heappop(queue)
-                    if len(entry) == 4:
-                        self._now = entry[0]
+                while True:
+                    if lane and (
+                        not queue or queue[0][0] > now or queue[0][1] > lane[0][0]
+                    ):
+                        _seq, fn, args = popleft()
                         processed += 1
-                        entry[2](*entry[3])
-                    else:
-                        handle = entry[2]
-                        if handle.cancelled:
-                            self._cancelled -= 1
-                            continue
-                        self._now = entry[0]
-                        processed += 1
-                        handle.fn(*handle.args)
-            else:
-                while queue:
-                    if queue[0][0] > until:
+                        fn(*args)
+                        continue
+                    if not queue:
                         break
                     entry = heappop(queue)
                     if len(entry) == 4:
-                        self._now = entry[0]
+                        now = self._now = entry[0]
                         processed += 1
                         entry[2](*entry[3])
                     else:
@@ -234,7 +260,31 @@ class Simulator:
                         if handle.cancelled:
                             self._cancelled -= 1
                             continue
-                        self._now = entry[0]
+                        now = self._now = entry[0]
+                        processed += 1
+                        handle.fn(*handle.args)
+            else:
+                while True:
+                    if lane and now <= until and (
+                        not queue or queue[0][0] > now or queue[0][1] > lane[0][0]
+                    ):
+                        _seq, fn, args = popleft()
+                        processed += 1
+                        fn(*args)
+                        continue
+                    if not queue or queue[0][0] > until:
+                        break
+                    entry = heappop(queue)
+                    if len(entry) == 4:
+                        now = self._now = entry[0]
+                        processed += 1
+                        entry[2](*entry[3])
+                    else:
+                        handle = entry[2]
+                        if handle.cancelled:
+                            self._cancelled -= 1
+                            continue
+                        now = self._now = entry[0]
                         processed += 1
                         handle.fn(*handle.args)
                 if self._now < until:
@@ -251,19 +301,31 @@ class Simulator:
         half-open window ``[now, end)``, so events scheduled exactly at
         ``end`` (the next window's opening edge, or a message injected
         by another shard) stay queued.  Unlike :meth:`run`, the bound is
-        exclusive.
+        exclusive — once ``now >= end`` the same-instant lane stays put.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         queue = self._queue
+        lane = self._lane
+        popleft = lane.popleft
         heappop = heapq.heappop
         processed = 0
+        now = self._now
         try:
-            while queue and queue[0][0] < end:
+            while True:
+                if lane and now < end and (
+                    not queue or queue[0][0] > now or queue[0][1] > lane[0][0]
+                ):
+                    _seq, fn, args = popleft()
+                    processed += 1
+                    fn(*args)
+                    continue
+                if not queue or queue[0][0] >= end:
+                    break
                 entry = heappop(queue)
                 if len(entry) == 4:
-                    self._now = entry[0]
+                    now = self._now = entry[0]
                     processed += 1
                     entry[2](*entry[3])
                 else:
@@ -271,7 +333,7 @@ class Simulator:
                     if handle.cancelled:
                         self._cancelled -= 1
                         continue
-                    self._now = entry[0]
+                    now = self._now = entry[0]
                     processed += 1
                     handle.fn(*handle.args)
             if self._now < end:
@@ -284,10 +346,28 @@ class Simulator:
     def next_event_time(self) -> Optional[int]:
         """Timestamp of the earliest live event, or None when drained.
 
-        Pops cancelled heads as a side effect (they are dead anyway);
-        used by the shard synchroniser to skip empty lookahead windows.
+        Pops cancelled heads that precede it as a side effect (they are
+        dead anyway); used by the shard synchroniser to skip empty
+        lookahead windows.
         """
         queue = self._queue
+        lane = self._lane
+        if lane:
+            now = self._now
+            first = lane[0][0]
+            while queue:
+                entry = queue[0]
+                if (
+                    len(entry) == 3
+                    and entry[2].cancelled
+                    and entry[0] == now
+                    and entry[1] < first
+                ):
+                    heapq.heappop(queue)
+                    self._cancelled -= 1
+                    continue
+                break
+            return now
         while queue:
             entry = queue[0]
             if len(entry) == 3 and entry[2].cancelled:
@@ -317,15 +397,27 @@ class Simulator:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
         queue = self._queue
+        lane = self._lane
+        popleft = lane.popleft
         heappop = heapq.heappop
         processed = 0
+        now = self._now
         try:
             if limit is None:
                 # Hoisted fast loop: no limit check per event.
-                while not predicate() and queue:
+                while not predicate():
+                    if lane and (
+                        not queue or queue[0][0] > now or queue[0][1] > lane[0][0]
+                    ):
+                        _seq, fn, args = popleft()
+                        processed += 1
+                        fn(*args)
+                        continue
+                    if not queue:
+                        break
                     entry = heappop(queue)
                     if len(entry) == 4:
-                        self._now = entry[0]
+                        now = self._now = entry[0]
                         processed += 1
                         entry[2](*entry[3])
                     else:
@@ -333,23 +425,31 @@ class Simulator:
                         if handle.cancelled:
                             self._cancelled -= 1
                             continue
-                        self._now = entry[0]
+                        now = self._now = entry[0]
                         processed += 1
                         handle.fn(*handle.args)
             else:
-                while not predicate() and queue:
+                while not predicate():
+                    if lane and (
+                        not queue or queue[0][0] > now or queue[0][1] > lane[0][0]
+                    ):
+                        if now > limit:
+                            self._over_limit(limit)
+                        _seq, fn, args = popleft()
+                        processed += 1
+                        fn(*args)
+                        continue
+                    if not queue:
+                        break
                     entry = queue[0]
                     if len(entry) == 3 and entry[2].cancelled:
                         heappop(queue)
                         self._cancelled -= 1
                         continue
                     if entry[0] > limit:
-                        self._now = limit
-                        raise SimulationError(
-                            f"run_until hit the time limit at {limit} ns"
-                        )
+                        self._over_limit(limit)
                     heappop(queue)
-                    self._now = entry[0]
+                    now = self._now = entry[0]
                     processed += 1
                     if len(entry) == 4:
                         entry[2](*entry[3])
@@ -361,6 +461,22 @@ class Simulator:
             self.events_processed += processed
         return self._now
 
+    def _over_limit(self, limit: int) -> None:
+        """Stop ``run_until`` at ``limit``: set the clock there and raise.
+
+        A limit behind ``now`` moves the clock back, so lane entries
+        first go to the heap under their own ``(time, seq)`` keys.
+        """
+        lane = self._lane
+        if lane:
+            now = self._now
+            queue = self._queue
+            for seq, fn, args in lane:
+                heapq.heappush(queue, (now, seq, fn, args))
+            lane.clear()
+        self._now = limit
+        raise SimulationError(f"run_until hit the time limit at {limit} ns")
+
     def pending_events(self) -> int:
         """Number of queued (possibly cancelled) events.  Mostly for tests."""
-        return len(self._queue)
+        return len(self._queue) + len(self._lane)

@@ -300,3 +300,93 @@ def test_sharded_matches_serial_under_client_events():
     # Starving one client must actually change the interleaving.
     unfaulted = serial_point(spec)
     assert serial.run_fingerprint() != unfaulted.run_fingerprint()
+
+
+# -- idle shard worlds are not stepped ----------------------------------------
+
+
+def _count_windows(monkeypatch):
+    from repro.parallel.des import worlds
+
+    calls = {"shard": 0, "hub": 0}
+    shard_window = worlds.ClientShardWorld.run_window
+    hub_window = worlds.HubWorld.run_window
+
+    def counted_shard(self, end, messages):
+        calls["shard"] += 1
+        return shard_window(self, end, messages)
+
+    def counted_hub(self, end, messages):
+        calls["hub"] += 1
+        return hub_window(self, end, messages)
+
+    monkeypatch.setattr(worlds.ClientShardWorld, "run_window", counted_shard)
+    monkeypatch.setattr(worlds.HubWorld, "run_window", counted_hub)
+    return calls
+
+
+def _staggered_fleet():
+    return FleetJobSpec.homogeneous(
+        8, target="netapp", file_bytes=SMALL, stagger_ns=ms(2)
+    )
+
+
+def test_idle_shards_skip_their_windows(monkeypatch):
+    spec = _staggered_fleet()
+    calls = _count_windows(monkeypatch)
+    out = run_sharded_fleet(spec, shards=4, transport="inline")
+    rounds = calls["hub"] - 1  # the last hub call is the completion clamp
+    # Staggered clients leave whole shards with nothing due for most
+    # windows; the hub still steps every round.
+    assert rounds > 0
+    assert calls["shard"] * 3 < rounds * 4
+    assert out.point.run_fingerprint() == serial_point(spec).run_fingerprint()
+
+
+def _uplink_and_crash_faults():
+    return FleetFaults(
+        uplink={"client5": DropFrames([3, 7, 11])},
+        server_schedules=((0, (("crash_at", (ms(6),)), ("restart_at", (ms(9),)))),),
+    )
+
+
+def test_idle_shard_skip_matches_serial_under_faults(monkeypatch):
+    spec = _staggered_fleet()
+    calls = _count_windows(monkeypatch)
+    serial = serial_point(spec, faults=_uplink_and_crash_faults())
+    out = run_sharded_fleet(
+        spec, shards=4, transport="inline", faults=_uplink_and_crash_faults()
+    )
+    assert calls["shard"] * 3 < (calls["hub"] - 1) * 4
+    assert [label for _t, label in out.schedules[0].log] == ["crash", "restart"]
+    assert out.point.run_fingerprint() == serial.run_fingerprint()
+    assert serial.run_fingerprint() != serial_point(spec).run_fingerprint()
+
+
+# -- a hung process worker ----------------------------------------------------
+
+
+def _hung_worker_main(conn, *args):
+    import time
+
+    time.sleep(3600)
+
+
+def test_hung_process_worker_is_terminated(monkeypatch):
+    import time
+
+    from repro.parallel.des import engine
+
+    monkeypatch.setattr(engine, "_worker_main", _hung_worker_main)
+    monkeypatch.setattr(engine, "WORKER_REPLY_DEADLINE_S", 0.5)
+    spec = FleetJobSpec.homogeneous(2, file_bytes=SMALL)
+    worker = engine.ProcessWorker(build_plan(spec, 2), 1, FleetFaults(), None)
+    try:
+        worker.send_window(ms(1), [])
+        started = time.monotonic()
+        with pytest.raises(ConfigError, match="shard 1 worker sent no reply"):
+            worker.recv_window()
+        assert time.monotonic() - started < 30
+        assert not worker.process.is_alive()
+    finally:
+        worker.close()
