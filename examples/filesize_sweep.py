@@ -7,26 +7,40 @@ client, and plots write-phase throughput.  Shows the paper's headline
 picture: the enhanced client writes NFS files at memory speed until RAM
 runs out, and the filer's NVRAM stretches that plateau further.
 
-Run:  python examples/filesize_sweep.py [scale]   (default memory scale 8)
+Every point is a one-client ``FleetJobSpec`` run through a
+``SweepExecutor`` (pass ``jobs=N`` to it to fan the points out over N
+worker processes; the numbers do not change).
+
+Run:  python examples/filesize_sweep.py [scale]
+      (default memory scale 8; a larger scale runs faster)
 """
 
 import sys
 
-from repro import TestBed
-from repro.config import FilerConfig
+from repro import ClientSpec, FleetJobSpec, ServerSpec, SweepExecutor
 from repro.experiments import scaled_configs
 from repro.units import MB
 
+TARGETS = ("local", "netapp", "linux")
+
 
 def sweep(client, sizes_mb, hw, filer_cfg):
-    curves = {}
-    for target in ("local", "netapp", "linux"):
-        row = []
-        for size in sizes_mb:
-            bed = TestBed(target=target, client=client, hw=hw, filer_config=filer_cfg)
-            row.append(bed.run_sequential_write(size * MB).write_mbps)
-        curves[target] = row
-    return curves
+    clients = (ClientSpec(client=client, hw=hw),)
+    specs = [
+        FleetJobSpec(
+            clients=clients,
+            # The scaled NVRAM only means something to the filer.
+            servers=(ServerSpec(target, filer_cfg if target == "netapp" else None),),
+            file_bytes=size * MB,
+        )
+        for target in TARGETS
+        for size in sizes_mb
+    ]
+    points = iter(SweepExecutor().map(specs))
+    return {
+        target: [next(points).client_mbps()[0] for _ in sizes_mb]
+        for target in TARGETS
+    }
 
 
 def plot(curves, sizes_mb, height=10):
@@ -62,7 +76,7 @@ def main() -> None:
         print(f"\n=== {figure}: {client} client")
         curves = sweep(client, sizes_mb, hw, filer_cfg)
         print(plot(curves, sizes_mb))
-        for target in ("local", "netapp", "linux"):
+        for target in TARGETS:
             row = " ".join(f"{v:6.1f}" for v in curves[target])
             print(f"  {target:7s} {row}")
 

@@ -36,7 +36,8 @@ from .config import (
 from .cache import ResultCache
 from .experiments import ExecutionContext, experiment_ids, get_experiment
 from .nfsclient import VARIANTS, variant_config
-from .parallel import JobSpec, PointResult, SweepExecutor
+from .parallel import SweepExecutor
+from .topology import ClientSpec, FleetJobSpec, FleetPointResult, ServerSpec
 
 __version__ = "1.0.0"
 
@@ -59,8 +60,10 @@ __all__ = [
     "experiment_ids",
     "get_experiment",
     "ExecutionContext",
-    "JobSpec",
-    "PointResult",
+    "ClientSpec",
+    "ServerSpec",
+    "FleetJobSpec",
+    "FleetPointResult",
     "SweepExecutor",
     "ResultCache",
     "__version__",

@@ -11,27 +11,15 @@ targets are unchanged:
 * ``"linux-100"`` — the same knfsd behind 100 Mbps Ethernet (§3.5),
 * ``"local"`` — client-local ext2 (no server at all).
 
-The per-kind ``filer_config``/``linux_config``/``local_config`` kwargs
-are deprecated in favour of ``server=ServerSpec(kind, config)``; a
-config passed for a target that would have silently ignored it is now a
-:class:`~repro.errors.ConfigError` naming the replacement.
+A server config goes in as ``server=ServerSpec(kind, config)``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from typing import Optional, Union
 
-from ..config import (
-    ClientHwConfig,
-    FilerConfig,
-    LinuxServerConfig,
-    LocalFsConfig,
-    MountConfig,
-    NetConfig,
-    NfsClientConfig,
-)
+from ..config import ClientHwConfig, MountConfig, NetConfig, NfsClientConfig
 from ..errors import ConfigError
 from .bonnie import BenchmarkResult
 
@@ -53,9 +41,6 @@ class TestBed:
         hw: Optional[ClientHwConfig] = None,
         net: Optional[NetConfig] = None,
         mount: Optional[MountConfig] = None,
-        filer_config: Optional[FilerConfig] = None,
-        linux_config: Optional[LinuxServerConfig] = None,
-        local_config: Optional[LocalFsConfig] = None,
         profile: bool = False,
         observe: bool = False,
         server=None,
@@ -65,13 +50,7 @@ class TestBed:
         # the benchmark classes in this package).
         from ..topology import ClientSpec, ServerSpec, Topology
 
-        legacy = (filer_config, linux_config, local_config)
         if server is not None:
-            if any(cfg is not None for cfg in legacy):
-                raise ConfigError(
-                    "pass either server=ServerSpec(...) or the deprecated "
-                    "per-kind config kwargs, not both"
-                )
             if not isinstance(server, ServerSpec):
                 raise ConfigError(
                     f"server must be a ServerSpec, got {type(server).__name__}"
@@ -81,19 +60,7 @@ class TestBed:
                     f"target {target!r} contradicts server kind {server.kind!r}"
                 )
         else:
-            if any(cfg is not None for cfg in legacy):
-                warnings.warn(
-                    "filer_config/linux_config/local_config are deprecated; "
-                    "pass server=ServerSpec(kind, config) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            server = ServerSpec.from_legacy(
-                target if target is not None else "netapp",
-                filer_config=filer_config,
-                linux_config=linux_config,
-                local_config=local_config,
-            )
+            server = ServerSpec(kind=target if target is not None else "netapp")
             # Historical behaviour: the server's switch port shared the
             # client's NetConfig (including injected loss), except for
             # linux-100's fixed fast Ethernet.

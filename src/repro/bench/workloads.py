@@ -12,10 +12,7 @@ observability timelines.
 Closed-loop benchmarks (:class:`~repro.topology.fleet.FleetWorkload`),
 the promoted example workloads (``examples/*.py`` are thin wrappers
 now), and the open-loop traffic sessions of :mod:`repro.traffic` all
-implement the same protocol, replacing the four parallel entry points
-that predated it (free functions here, ``FleetWorkload``'s hardwired
-writer, ``Topology.run_sequential_write``, and copy-pasted example
-bodies).
+implement the same protocol.
 
 A workload body is a generator that returns ``(start_ns, end_ns,
 result)`` — end time at index 1 is a contract the sharded DES engine
@@ -56,10 +53,6 @@ __all__ = [
     "workload_row",
     "run_workload",
     "sequential_writers",
-    "transaction_log",
-    "random_writer",
-    "sweep_file_sizes",
-    "parallel_size_sweep",
 ]
 
 
@@ -230,8 +223,8 @@ def run_client_workload(
     """Run one workload on one topology client to completion (blocking).
 
     Returns the ``(start_ns, end_ns, result)`` triple.  This is the
-    blocking single-client path ``Topology.run_sequential_write`` and
-    ``TestBed.run_sequential_write`` now delegate to.
+    blocking single-client path ``Topology.run_workload`` and
+    ``TestBed.run_sequential_write`` delegate to.
     """
     stack = topology.clients[client]
     task = topology.sim.spawn(
@@ -532,7 +525,7 @@ class RandomWriteWorkload(Workload):
         return (start, sim.now, outcome)
 
 
-# -- legacy free-function drivers ---------------------------------------------
+# -- N writers on one client ---------------------------------------------------
 
 
 @dataclass
@@ -601,97 +594,3 @@ def sequential_writers(bed: TestBed, nwriters: int, bytes_each: int,
         elapsed_ns=bed.sim.now - start,
         traces=traces,
     )
-
-
-def transaction_log(bed: TestBed, transactions: int,
-                    record_bytes: int = PAGE_SIZE) -> WorkloadResult:
-    """Append + fsync per transaction (commit-latency bound).
-
-    A thin wrapper over the registered ``database-fsync`` workload.
-    """
-    workload = get_workload(
-        "database-fsync",
-        {"transactions": transactions, "record_bytes": record_bytes},
-    )
-    start = bed.sim.now
-    tasks = run_workload(bed, [("txlog", client_workload_body(bed, workload))])
-    _start, _end, outcome = tasks[0].result
-    return WorkloadResult(
-        bytes_written=outcome.bytes_written,
-        elapsed_ns=bed.sim.now - start,
-        traces=[outcome.trace],
-    )
-
-
-def random_writer(bed: TestBed, file_bytes: int, writes: int,
-                  chunk_bytes: int = 8192, seed: int = 1) -> WorkloadResult:
-    """Page-aligned random-offset writes within a fixed extent.
-
-    A thin wrapper over the registered ``random-write`` workload.
-    """
-    workload = get_workload(
-        "random-write",
-        {
-            "file_bytes": file_bytes,
-            "writes": writes,
-            "chunk_bytes": chunk_bytes,
-            "seed": seed,
-        },
-    )
-    start = bed.sim.now
-    tasks = run_workload(bed, [("random", client_workload_body(bed, workload))])
-    _start, _end, outcome = tasks[0].result
-    return WorkloadResult(
-        bytes_written=outcome.bytes_written,
-        elapsed_ns=bed.sim.now - start,
-        traces=[outcome.trace],
-    )
-
-
-def sweep_file_sizes(make_bed, sizes_bytes, chunk_bytes: int = 8192):
-    """Fresh test bed per size; returns [(size, BenchmarkResult)].
-
-    ``make_bed`` is a zero-argument factory (each run needs a pristine
-    simulated world).  Factories are arbitrary closures, so this sweep
-    is inherently serial; when the points can be described as plain
-    configuration, use :func:`parallel_size_sweep` instead.
-    """
-    out = []
-    for size in sizes_bytes:
-        bed = make_bed()
-        out.append((size, bed.run_sequential_write(size, chunk_bytes=chunk_bytes)))
-    return out
-
-
-def parallel_size_sweep(
-    target: str,
-    client,
-    sizes_bytes,
-    chunk_bytes: int = 8192,
-    jobs: int = 1,
-    cache=None,
-    **bed_kwargs,
-):
-    """Config-described size sweep; returns [(size, PointResult)].
-
-    The picklable cousin of :func:`sweep_file_sizes`: each point becomes
-    a :class:`~repro.parallel.JobSpec` (``bed_kwargs`` may carry ``hw``,
-    ``mount``, ``filer_config``...) and runs through a
-    :class:`~repro.parallel.SweepExecutor`, fanning out over ``jobs``
-    worker processes and reusing ``cache`` hits.  Results are identical
-    to the serial sweep — every point is its own deterministic world.
-    """
-    from ..parallel import JobSpec, SweepExecutor
-
-    specs = [
-        JobSpec(
-            target=target,
-            client=client,
-            file_bytes=size,
-            chunk_bytes=chunk_bytes,
-            **bed_kwargs,
-        )
-        for size in sizes_bytes
-    ]
-    results = SweepExecutor(jobs=jobs, cache=cache).map(specs)
-    return list(zip(sizes_bytes, results))

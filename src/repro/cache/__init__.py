@@ -25,7 +25,9 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional
+
+from ..errors import ConfigError
 
 __all__ = [
     "ResultCache",
@@ -115,8 +117,15 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload, or ``None`` (corrupt entries are misses)."""
+    def get(
+        self, key: str, revive: Optional[Callable[[Dict[str, Any]], Any]] = None
+    ) -> Any:
+        """The stored payload, or ``None`` (corrupt entries are misses).
+
+        With ``revive``, returns ``revive(payload)`` instead; an entry it
+        rejects with a :class:`~repro.errors.ConfigError` (valid JSON of
+        the wrong shape) is a miss too.
+        """
         path = self._path(key)
         try:
             with open(path) as f:
@@ -127,6 +136,12 @@ class ResultCache:
         if not isinstance(payload, dict):
             self.misses += 1
             return None
+        if revive is not None:
+            try:
+                payload = revive(payload)
+            except ConfigError:
+                self.misses += 1
+                return None
         self.hits += 1
         return payload
 

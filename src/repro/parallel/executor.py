@@ -1,11 +1,10 @@
 """Parallel sweep execution.
 
-Every sweep point (client variant x target x file size x configs) is a
-fully independent simulated world, which makes the paper's 25-450 MB
-sweeps embarrassingly parallel.  A :class:`JobSpec` captures one point
-as a picklable value object; :func:`run_job` materialises the
-:class:`~repro.bench.runner.TestBed`, runs the sequential-write
-benchmark, and reduces the outcome to a :class:`PointResult` that
+Every sweep point is a fully independent simulated world, which makes
+the paper's 25-450 MB sweeps embarrassingly parallel.  A point is a
+:class:`~repro.topology.fleet.FleetJobSpec` — the paper's one client
+writing one file is simply a one-client fleet — and :func:`run_job`
+reduces it to a :class:`~repro.topology.fleet.FleetPointResult` that
 survives both pickling (process pools) and JSON (the result cache).
 
 :class:`SweepExecutor` fans specs out over a
@@ -18,31 +17,13 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..cache import ResultCache, fingerprint
-from ..config import (
-    ClientHwConfig,
-    FilerConfig,
-    LinuxServerConfig,
-    LocalFsConfig,
-    MountConfig,
-    NetConfig,
-    NfsClientConfig,
-)
+from ..cache import ResultCache
 from ..errors import ConfigError
-from ..units import throughput, to_mbps
+from ..topology.fleet import FleetJobSpec, FleetPointResult, run_fleet_job
 
-__all__ = [
-    "JobSpec",
-    "PointResult",
-    "run_job",
-    "SweepExecutor",
-    "default_jobs",
-    "register_job_type",
-    "result_from_payload",
-]
+__all__ = ["run_job", "SweepExecutor", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -50,185 +31,25 @@ def default_jobs() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One sweep point, expressed entirely as picklable configuration.
-
-    ``client`` is a variant name (``"stock"``, ``"enhanced"``...) or an
-    explicit :class:`~repro.config.NfsClientConfig`; ``None`` config
-    fields take the :class:`~repro.bench.runner.TestBed` defaults.
-    """
-
-    target: str
-    client: Union[str, NfsClientConfig]
-    file_bytes: int
-    chunk_bytes: int = 8192
-    do_fsync: bool = True
-    hw: Optional[ClientHwConfig] = None
-    net: Optional[NetConfig] = None
-    mount: Optional[MountConfig] = None
-    filer_config: Optional[FilerConfig] = None
-    linux_config: Optional[LinuxServerConfig] = None
-    local_config: Optional[LocalFsConfig] = None
-    time_limit_ns: Optional[int] = None
-
-    def fingerprint(self, version: Optional[str] = None) -> str:
-        """Content address of this point (see :mod:`repro.cache`)."""
-        return fingerprint(self, version=version)
-
-
-@dataclass
-class PointResult:
-    """The benchmark outcome of one :class:`JobSpec`, JSON-round-trippable."""
-
-    file_bytes: int
-    chunk_bytes: int
-    write_elapsed_ns: int
-    flush_elapsed_ns: int
-    close_elapsed_ns: int
-    #: Simulator callbacks dispatched for this point (events/sec telemetry).
-    events_processed: int
-    latency_starts_ns: List[int] = field(default_factory=list)
-    latencies_ns: List[int] = field(default_factory=list)
-
-    @property
-    def write_mbps(self) -> float:
-        """write()-calls-only throughput in MB/s (Figs. 1 and 7).
-
-        Computed with the same :mod:`repro.units` helpers as
-        :class:`~repro.bench.bonnie.BenchmarkResult`, so a cached or
-        pooled point is bit-identical to an in-process one.
-        """
-        return to_mbps(throughput(self.file_bytes, self.write_elapsed_ns))
-
-    @property
-    def flush_mbps(self) -> float:
-        return to_mbps(throughput(self.file_bytes, self.flush_elapsed_ns))
-
-    @property
-    def close_mbps(self) -> float:
-        return to_mbps(throughput(self.file_bytes, self.close_elapsed_ns))
-
-    def to_payload(self) -> Dict[str, Any]:
-        return {
-            "file_bytes": self.file_bytes,
-            "chunk_bytes": self.chunk_bytes,
-            "write_elapsed_ns": self.write_elapsed_ns,
-            "flush_elapsed_ns": self.flush_elapsed_ns,
-            "close_elapsed_ns": self.close_elapsed_ns,
-            "events_processed": self.events_processed,
-            "latency_starts_ns": self.latency_starts_ns,
-            "latencies_ns": self.latencies_ns,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "PointResult":
-        return cls(**payload)
-
-
-# Additional sweepable job types (spec class -> runner), registered by
-# the modules that define them — e.g. importing ``repro.topology.fleet``
-# registers FleetJobSpec.  Workers re-register automatically: unpickling
-# a registered spec imports its defining module.
-_JOB_RUNNERS: Dict[type, Any] = {}
-_PAYLOAD_KINDS: Dict[str, Any] = {}
-
-
-def register_job_type(spec_type, runner, payload_kind, loader) -> None:
-    """Teach the executor a new sweep point type.
-
-    ``runner(spec)`` executes one point; cached payloads carrying
-    ``{"__kind__": payload_kind}`` are revived through ``loader``.
-    """
-    _JOB_RUNNERS[spec_type] = runner
-    _PAYLOAD_KINDS[payload_kind] = loader
-
-
-def result_from_payload(payload: Dict[str, Any]):
-    """Revive a cached result of any registered kind.
-
-    Payloads without a ``__kind__`` marker are classic
-    :class:`PointResult` rows — the cache format predating multi-kind
-    sweeps is read unchanged.
-    """
-    kind = payload.get("__kind__", "point")
-    if kind == "point":
-        return PointResult.from_payload(payload)
-    try:
-        loader = _PAYLOAD_KINDS[kind]
-    except KeyError:
-        raise ConfigError(
-            f"cached result has unknown kind {kind!r}; import the module "
-            "that registers it before reading the cache"
-        ) from None
-    return loader(payload)
-
-
-def run_job(spec) -> Any:
+def run_job(spec: FleetJobSpec) -> FleetPointResult:
     """Run one sweep point in a pristine world, reduce the result.
 
-    Module-level so process-pool workers can unpickle a reference to it.
-    Dispatches on the spec's type: classic :class:`JobSpec` points build
-    a single-client test bed; registered types (fleet points, ...) run
-    through their registered runner.
+    Module-level so process-pool workers can unpickle a reference to it;
+    every sweep point is dispatched here, which is where
+    ``perfbench/tracing.py`` times the executor layer.
     """
-    runner = _JOB_RUNNERS.get(type(spec))
-    if runner is not None:
-        return runner(spec)
-    if not isinstance(spec, JobSpec):
-        raise ConfigError(
-            f"unknown job spec type {type(spec).__name__}; import the "
-            "module that registers it before running sweeps"
-        )
-    import dataclasses
-
-    from ..bench.runner import TestBed
-    from ..topology.spec import ServerSpec
-
-    server = ServerSpec.from_legacy(
-        spec.target,
-        filer_config=spec.filer_config,
-        linux_config=spec.linux_config,
-        local_config=spec.local_config,
-    )
-    # Legacy semantics: a custom client net (e.g. injected loss) also
-    # applies to the server's switch port, except linux-100's fixed
-    # fast Ethernet.
-    if spec.net is not None and server.kind in ("netapp", "linux"):
-        server = dataclasses.replace(server, net=spec.net)
-    bed = TestBed(
-        target=spec.target,
-        client=spec.client,
-        hw=spec.hw,
-        net=spec.net,
-        mount=spec.mount,
-        server=server,
-    )
-    result = bed.run_sequential_write(
-        spec.file_bytes,
-        chunk_bytes=spec.chunk_bytes,
-        do_fsync=spec.do_fsync,
-        time_limit_ns=spec.time_limit_ns,
-    )
-    return PointResult(
-        file_bytes=result.file_bytes,
-        chunk_bytes=result.chunk_bytes,
-        write_elapsed_ns=result.write_elapsed_ns,
-        flush_elapsed_ns=result.flush_elapsed_ns,
-        close_elapsed_ns=result.close_elapsed_ns,
-        events_processed=bed.sim.events_processed,
-        latency_starts_ns=result.trace.starts_ns,
-        latencies_ns=result.trace.latencies_ns,
-    )
+    return run_fleet_job(spec)
 
 
 class SweepExecutor:
-    """Runs a batch of :class:`JobSpec` points, optionally cached.
+    """Runs a batch of :class:`FleetJobSpec` points, optionally cached.
 
     Results come back in spec order regardless of completion order, so
     ``jobs=1``, ``jobs=N`` and a warm cache all produce identical
     sweeps.  Cache lookups happen before any job is dispatched; only the
     misses reach the pool, and their results are stored on the way out.
+    An entry that does not revive as a point is a miss and is
+    overwritten.
     """
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None):
@@ -237,20 +58,20 @@ class SweepExecutor:
         self.jobs = jobs
         self.cache = cache
 
-    def map(self, specs: Iterable[Any]) -> List[Any]:
+    def map(self, specs: Iterable[FleetJobSpec]) -> List[FleetPointResult]:
         """Execute every spec; returns results in the given order."""
-        spec_list: List[Any] = list(specs)
-        results: List[Optional[Any]] = [None] * len(spec_list)
+        spec_list = list(specs)
+        results: List[Optional[FleetPointResult]] = [None] * len(spec_list)
         misses: List[int] = []
         keys: Dict[int, str] = {}
 
         if self.cache is not None:
             for i, spec in enumerate(spec_list):
                 keys[i] = spec.fingerprint()
-                payload = self.cache.get(keys[i])
-                if payload is not None:
-                    results[i] = result_from_payload(payload)
-                else:
+                results[i] = self.cache.get(
+                    keys[i], revive=FleetPointResult.from_payload
+                )
+                if results[i] is None:
                     misses.append(i)
         else:
             misses = list(range(len(spec_list)))
@@ -262,7 +83,7 @@ class SweepExecutor:
 
         return results  # type: ignore[return-value]  # every slot is filled
 
-    def _execute(self, specs: Sequence[Any]) -> List[Any]:
+    def _execute(self, specs: Sequence[FleetJobSpec]) -> List[FleetPointResult]:
         if self.jobs == 1 or len(specs) <= 1:
             return [run_job(spec) for spec in specs]
         workers = min(self.jobs, len(specs))

@@ -10,13 +10,11 @@ throughput and p99 write latency, aggregate throughput over the
 contended window, Jain's fairness index across clients, and the
 servers' per-source ingest shares plus output-port queueing.
 
-The sweep-facing half mirrors :mod:`repro.parallel.executor`:
+The sweep-facing half is what :mod:`repro.parallel.executor` runs:
 :class:`FleetJobSpec` is a picklable value object describing one fleet
-point, :func:`run_fleet_job` materialises and runs it, and
+point (a one-client fleet is the paper's single-writer benchmark),
+:func:`run_fleet_job` materialises and runs it, and
 :class:`FleetPointResult` survives pickling and the JSON result cache.
-Importing this module registers the pair with the executor, so
-``SweepExecutor.map`` fans fleet points out over processes — and caches
-them — exactly like single-client points.
 """
 
 from __future__ import annotations
@@ -41,7 +39,6 @@ __all__ = [
     "FleetResult",
     "FleetJobSpec",
     "FleetPointResult",
-    "fleet_client_body",
     "fleet_workload_for",
     "client_row",
     "server_rows",
@@ -105,9 +102,8 @@ class FleetResult:
     #: in server order.
     servers: List[Dict[str, Any]] = field(default_factory=list)
     #: Per-client reduced rows in client order, built by each client's
-    #: workload (``None`` for hand-assembled legacy results — the
-    #: reducer falls back to the sequential-write row shape).
-    rows: Optional[List[Dict[str, Any]]] = None
+    #: workload.
+    rows: List[Dict[str, Any]] = field(default_factory=list)
 
     @property
     def total_bytes(self) -> int:
@@ -182,25 +178,6 @@ class FleetWorkload:
         self.arrivals = arrivals
         self.seed = seed
 
-    def _workload_for(self, stack):
-        from ..bench.workloads import get_workload
-
-        if self.arrivals is not None:
-            return get_workload(
-                "open-loop", {"arrivals": self.arrivals, "seed": self.seed}
-            )
-        if self.workload is not None:
-            name, params = self.workload
-            return get_workload(name, dict(params))
-        return get_workload(
-            "sequential-write",
-            {
-                "file_bytes": self.file_bytes,
-                "chunk_bytes": stack.spec.chunk_bytes or self.chunk_bytes,
-                "do_fsync": self.do_fsync,
-            },
-        )
-
     def run(self, time_limit_ns: Optional[int] = None) -> FleetResult:
         """Run every client to completion (blocking); returns the fleet."""
         from ..bench.workloads import client_workload_body
@@ -211,7 +188,7 @@ class FleetWorkload:
         workloads = []
         for stack in topo.clients:
             offset = stack.spec.start_offset_ns + stack.index * self.stagger_ns
-            workload = self._workload_for(stack)
+            workload = fleet_workload_for(self, stack)
             workloads.append(workload)
             tasks.append(
                 sim.spawn(
@@ -251,13 +228,14 @@ class FleetWorkload:
         )
 
 
-def fleet_workload_for(spec: "FleetJobSpec", stack):
-    """The Workload instance one client of a :class:`FleetJobSpec` runs.
+def fleet_workload_for(spec, stack):
+    """The Workload instance one client of a fleet runs.
 
-    Module-level and spec-driven so shard workers instantiate exactly
-    what the serial fleet instantiates; the per-stack ``chunk_bytes``
-    override only applies to the default sequential writer, as it
-    always has.
+    ``spec`` is a :class:`FleetJobSpec` or a :class:`FleetWorkload`
+    (both carry the same workload fields).  Module-level and
+    spec-driven so shard workers instantiate exactly what the serial
+    fleet instantiates; the per-stack ``chunk_bytes`` override only
+    applies to the default sequential writer, as it always has.
     """
     from ..bench.workloads import get_workload
 
@@ -276,27 +254,6 @@ def fleet_workload_for(spec: "FleetJobSpec", stack):
             "do_fsync": spec.do_fsync,
         },
     )
-
-
-def fleet_client_body(stack, offset_ns: int, chunk_bytes: int, file_bytes: int, do_fsync: bool):
-    """Deprecated: the pre-registry fleet writer signature.
-
-    Kept as a bit-identical shim over the registered sequential-write
-    workload; new code should go through the registry
-    (:func:`repro.bench.workloads.get_workload` +
-    :func:`repro.bench.workloads.client_workload_body`).
-    """
-    from ..bench.workloads import client_workload_body, get_workload
-
-    workload = get_workload(
-        "sequential-write",
-        {
-            "file_bytes": file_bytes,
-            "chunk_bytes": chunk_bytes,
-            "do_fsync": do_fsync,
-        },
-    )
-    return client_workload_body(stack, workload, offset_ns)
 
 
 def server_rows(servers, switch) -> List[Dict[str, Any]]:
@@ -454,11 +411,21 @@ class FleetPointResult:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "FleetPointResult":
-        return cls(
-            clients=payload["clients"],
-            servers=payload["servers"],
-            events_processed=payload["events_processed"],
-        )
+        """Revive :meth:`to_payload` output; any other shape is a
+        :class:`ConfigError` (the result cache counts it as a miss)."""
+        kind = payload.get("__kind__")
+        if kind != cls.PAYLOAD_KIND:
+            raise ConfigError(f"cached result has unknown kind {kind!r}")
+        clients = payload.get("clients")
+        servers = payload.get("servers")
+        events = payload.get("events_processed")
+        if not (
+            isinstance(clients, list)
+            and isinstance(servers, list)
+            and isinstance(events, int)
+        ):
+            raise ConfigError("cached fleet result is malformed")
+        return cls(clients=clients, servers=servers, events_processed=events)
 
     def run_fingerprint(self) -> str:
         """Content hash of the whole *simulated* outcome — two runs of
@@ -501,15 +468,8 @@ def client_row(name: str, start_ns: int, end_ns: int, result: BenchmarkResult) -
 
 def reduce_fleet(fleet: FleetResult) -> FleetPointResult:
     """Reduce a live :class:`FleetResult` to its cacheable point form."""
-    if fleet.rows is not None:
-        clients = fleet.rows
-    else:
-        clients = [
-            client_row(c.name, c.start_ns, c.end_ns, c.result)
-            for c in fleet.clients
-        ]
     return FleetPointResult(
-        clients=clients,
+        clients=fleet.rows,
         servers=fleet.servers,
         events_processed=fleet.events_processed,
     )
@@ -544,15 +504,3 @@ def run_fleet_job(
         seed=spec.seed,
     )
     return reduce_fleet(workload.run(time_limit_ns=spec.time_limit_ns))
-
-
-# Register with the sweep executor: FleetJobSpec points fan out and
-# cache exactly like single-client JobSpecs.
-from ..parallel.executor import register_job_type  # noqa: E402
-
-register_job_type(
-    FleetJobSpec,
-    run_fleet_job,
-    FleetPointResult.PAYLOAD_KIND,
-    FleetPointResult.from_payload,
-)

@@ -3,13 +3,7 @@
 import pytest
 
 from repro.bench import TestBed
-from repro.bench.workloads import (
-    random_writer,
-    run_workload,
-    sequential_writers,
-    sweep_file_sizes,
-    transaction_log,
-)
+from repro.bench.workloads import run_workload, sequential_writers
 from repro.errors import ConfigError
 from repro.units import MB, PAGE_SIZE
 
@@ -42,18 +36,25 @@ def test_writers_validation():
 
 
 def test_transaction_log_commit_latency():
-    filer = transaction_log(make_bed("netapp"), transactions=50)
-    linux = transaction_log(make_bed("linux"), transactions=50)
+    def commits(target):
+        bed = make_bed(target)
+        return bed.topology.run_workload("database-fsync", {"transactions": 50})
+
+    filer, linux = commits("netapp"), commits("linux")
     # Each fsync on the Linux server pays COMMIT + disk.
-    assert linux.traces[0].mean_ns() > filer.traces[0].mean_ns()
-    assert len(filer.traces[0]) == 50
+    assert linux.trace.mean_ns() > filer.trace.mean_ns()
+    assert len(filer.trace) == 50
+
+
+def random_write(bed, **params):
+    return bed.topology.run_workload("random-write", params)
 
 
 def test_random_writer_completes_and_is_deterministic():
     def one():
         bed = make_bed()
-        result = random_writer(bed, file_bytes=4 * MB, writes=100, seed=7)
-        return result.elapsed_ns, result.traces[0].latencies_ns
+        outcome = random_write(bed, file_bytes=4 * MB, writes=100, seed=7)
+        return bed.sim.now, outcome.trace.latencies_ns
 
     a, b = one(), one()
     assert a == b
@@ -62,16 +63,9 @@ def test_random_writer_completes_and_is_deterministic():
 
 def test_random_writer_rewrites_wait_for_inflight_pages():
     bed = make_bed()
-    random_writer(bed, file_bytes=64 * PAGE_SIZE, writes=300, seed=3)
+    random_write(bed, file_bytes=64 * PAGE_SIZE, writes=300, seed=3)
     # A small extent guarantees overlapping rewrites of in-flight pages.
     assert bed.nfs.stats.page_waits + bed.nfs.stats.coalesced_updates > 0
-
-
-def test_sweep_file_sizes_returns_pairs():
-    sizes = [MB, 2 * MB]
-    results = sweep_file_sizes(lambda: make_bed(), sizes)
-    assert [size for size, _r in results] == sizes
-    assert all(r.write_throughput > 0 for _s, r in results)
 
 
 def test_run_workload_surfaces_failures():

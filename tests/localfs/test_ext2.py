@@ -2,11 +2,12 @@
 
 from repro.bench import TestBed
 from repro.config import ClientHwConfig, LocalFsConfig, scaled
+from repro.topology import ServerSpec
 from repro.units import MB, PAGE_SIZE, seconds
 
 
 def run_local(nbytes, hw=None, do_fsync=True, local_config=None):
-    bed = TestBed(target="local", client="stock", hw=hw, local_config=local_config)
+    bed = TestBed(client="stock", hw=hw, server=ServerSpec("local", local_config))
     result = bed.run_sequential_write(nbytes, do_fsync=do_fsync)
     return bed, result
 

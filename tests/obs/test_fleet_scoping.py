@@ -35,7 +35,7 @@ def test_fleet_metrics_carry_client_prefix():
 def test_single_client_topology_keeps_unprefixed_keys():
     with observed() as session:
         topo = Topology(clients=1)
-        topo.run_sequential_write(64 * KIB)
+        topo.run_workload("sequential-write", {"file_bytes": 64 * KIB})
     snapshot = session.observabilities[0].metrics.snapshot()
     assert "syscall/write_calls" in snapshot
     assert not any(k.startswith("client/") for k in snapshot)

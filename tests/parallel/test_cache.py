@@ -12,13 +12,20 @@ from repro.cache import (
     fingerprint,
 )
 from repro.config import FilerConfig, NfsClientConfig
-from repro.parallel import JobSpec
+from repro.parallel import SweepExecutor, run_job
+from repro.topology import ClientSpec, FleetJobSpec, ServerSpec
+from repro.units import KIB
 
 
-def spec(**overrides):
-    base = dict(target="netapp", client="stock", file_bytes=2_000_000)
+def spec(target="netapp", client="stock", server_config=None, **overrides):
+    """A one-client sweep point."""
+    base = dict(
+        clients=(ClientSpec(client=client),),
+        servers=(ServerSpec(target, server_config),),
+        file_bytes=2_000_000,
+    )
     base.update(overrides)
-    return JobSpec(**base)
+    return FleetJobSpec(**base)
 
 
 class TestFingerprint:
@@ -33,8 +40,8 @@ class TestFingerprint:
         assert spec(do_fsync=False).fingerprint() != base
 
     def test_nested_config_fields_participate(self):
-        a = spec(filer_config=FilerConfig()).fingerprint()
-        b = spec(filer_config=FilerConfig(nvram_bytes=1 << 20)).fingerprint()
+        a = spec(server_config=FilerConfig()).fingerprint()
+        b = spec(server_config=FilerConfig(nvram_bytes=1 << 20)).fingerprint()
         assert a != b
 
     def test_explicit_config_object_vs_variant_name(self):
@@ -104,3 +111,23 @@ class TestResultCache:
     def test_default_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "elsewhere"))
         assert default_cache_dir() == str(tmp_path / "elsewhere")
+
+
+class TestSweepReplay:
+    @pytest.mark.parametrize(
+        "payload",
+        [{"__kind__": "fleet", "clients": []}, {}, {"__kind__": "point"}],
+        ids=["fleet-without-servers", "empty", "other-kind"],
+    )
+    def test_entry_that_does_not_revive_is_a_miss(self, tmp_path, payload):
+        # Valid JSON of the wrong shape is recomputed and overwritten,
+        # not served and not a crash.
+        cache = ResultCache(str(tmp_path))
+        point = spec(file_bytes=64 * KIB)
+        key = point.fingerprint()
+        cache.put(key, payload)
+        (result,) = SweepExecutor(jobs=1, cache=cache).map([point])
+        fresh = run_job(point)
+        assert result == fresh
+        assert (cache.misses, cache.hits) == (1, 0)
+        assert cache.get(key) == fresh.to_payload()

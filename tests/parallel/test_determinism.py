@@ -1,7 +1,7 @@
 """Determinism across execution modes.
 
 The contract the whole performance stack rests on: a sweep point is a
-pure function of its JobSpec.  Serial in-process execution, process-pool
+pure function of its FleetJobSpec.  Serial in-process execution, process-pool
 execution, and a cache round-trip must all yield bit-identical numbers —
 including the full latency trace, not just the headline throughput.
 """
@@ -14,13 +14,14 @@ from repro.config import FilerConfig, MountConfig, NetConfig
 from repro.experiments import ExecutionContext
 from repro.experiments.figure1 import run_sweep, sweep_specs
 from repro.chaos import run_spec
-from repro.parallel import JobSpec, PointResult, SweepExecutor
+from repro.parallel import SweepExecutor
+from repro.topology import ClientSpec, FleetJobSpec, FleetPointResult, ServerSpec
 from repro.units import MIB, ms
 
 from tests.chaos.helpers import corpus_spec
 
 SPECS = [
-    JobSpec(target=target, client=client, file_bytes=size)
+    FleetJobSpec.homogeneous(1, target=target, client=client, file_bytes=size)
     for target, client, size in (
         ("netapp", "stock", 2_000_000),
         ("linux", "enhanced", 2_000_000),
@@ -28,33 +29,34 @@ SPECS = [
     )
 ]
 
+
+def faulted(target, client, file_bytes, loss, server_config=None):
+    """A one-client point whose lossy link is shared by the server."""
+    net = NetConfig(loss_probability=loss)
+    return FleetJobSpec(
+        clients=(
+            ClientSpec(
+                client=client, net=net, mount=MountConfig(timeo_ns=ms(20), retrans=7)
+            ),
+        ),
+        servers=(ServerSpec(target, server_config, net=net),),
+        file_bytes=file_bytes,
+    )
+
+
 #: Runs with faults active: packet loss plus filer checkpoint pauses
 #: (tiny NVRAM forces a mid-run pause) and a lossy knfsd run.
 FAULTED_SPECS = [
-    JobSpec(
-        target="netapp",
-        client="stock",
-        file_bytes=2_000_000,
-        net=NetConfig(loss_probability=0.02),
-        mount=MountConfig(timeo_ns=ms(20), retrans=7),
-        filer_config=FilerConfig(nvram_bytes=2 * MIB),
-    ),
-    JobSpec(
-        target="linux",
-        client="enhanced",
-        file_bytes=1_000_000,
-        net=NetConfig(loss_probability=0.01),
-        mount=MountConfig(timeo_ns=ms(20), retrans=7),
-    ),
+    faulted("netapp", "stock", 2_000_000, 0.02, FilerConfig(nvram_bytes=2 * MIB)),
+    faulted("linux", "enhanced", 1_000_000, 0.01),
 ]
 
 
-def assert_identical(a: PointResult, b: PointResult):
-    assert a.write_mbps == b.write_mbps
-    assert a.flush_mbps == b.flush_mbps
-    assert a.close_mbps == b.close_mbps
-    assert a.latencies_ns == b.latencies_ns
-    assert a.latency_starts_ns == b.latency_starts_ns
+def assert_identical(a: FleetPointResult, b: FleetPointResult):
+    assert a.client_mbps() == b.client_mbps()
+    # Every timing triple, p99 and the latency-trace checksum.
+    assert a.clients == b.clients
+    assert a.run_fingerprint() == b.run_fingerprint()
     assert a == b
 
 
@@ -109,13 +111,23 @@ def test_faulted_runs_bit_identical_across_modes(tmp_path):
     cold = SweepExecutor(jobs=1, cache=cache).map(FAULTED_SPECS)
     warm = SweepExecutor(jobs=2, cache=cache).map(FAULTED_SPECS)
     clean = SweepExecutor(jobs=1).map(
-        [replace(spec, net=None, mount=None, filer_config=None)
-         for spec in FAULTED_SPECS]
+        [
+            replace(
+                spec,
+                clients=(ClientSpec(client=spec.clients[0].client),),
+                servers=(ServerSpec(spec.servers[0].kind),),
+            )
+            for spec in FAULTED_SPECS
+        ]
     )
+
+    def write_and_flush_ns(point):
+        (client,) = point.clients
+        return client["write_elapsed_ns"] + client["flush_elapsed_ns"]
+
     for s, p, c, w, base in zip(serial, pooled, cold, warm, clean):
         # The faults really fired: loss + pauses cost wall-clock time.
-        faulted_total = s.write_elapsed_ns + s.flush_elapsed_ns
-        assert faulted_total > base.write_elapsed_ns + base.flush_elapsed_ns
+        assert write_and_flush_ns(s) > write_and_flush_ns(base)
         assert_identical(s, p)
         assert_identical(s, c)
         assert_identical(s, w)
@@ -136,5 +148,6 @@ def test_fault_scenario_identical_in_process_and_in_worker():
 def test_sweep_specs_cover_the_grid():
     sizes, specs = sweep_specs("stock", 8.0, True)
     assert len(specs) == 3 * len(sizes)
-    assert {s.target for s in specs} == {"local", "netapp", "linux"}
-    assert all(s.client == "stock" for s in specs)
+    assert {s.servers[0].kind for s in specs} == {"local", "netapp", "linux"}
+    assert all(len(s.clients) == 1 for s in specs)
+    assert all(s.clients[0].client == "stock" for s in specs)

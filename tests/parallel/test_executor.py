@@ -1,4 +1,4 @@
-"""Unit tests for JobSpec / SweepExecutor mechanics."""
+"""Unit tests for SweepExecutor mechanics over one-client fleet points."""
 
 import pickle
 
@@ -6,10 +6,16 @@ import pytest
 
 from repro.cache import ResultCache
 from repro.errors import ConfigError
-from repro.parallel import JobSpec, PointResult, SweepExecutor, run_job
-from repro.bench.workloads import parallel_size_sweep
+from repro.parallel import SweepExecutor, run_job
+from repro.topology import FleetJobSpec, FleetPointResult
 
-SMALL = JobSpec(target="netapp", client="stock", file_bytes=1_000_000)
+
+def point_spec(file_bytes):
+    """The paper's single writer as a sweep point: a one-client fleet."""
+    return FleetJobSpec.homogeneous(1, target="netapp", file_bytes=file_bytes)
+
+
+SMALL = point_spec(1_000_000)
 
 
 def test_jobspec_is_picklable():
@@ -25,40 +31,37 @@ def test_jobs_must_be_positive():
 
 def test_run_job_produces_a_complete_point():
     point = run_job(SMALL)
-    assert point.file_bytes == SMALL.file_bytes
-    assert point.write_elapsed_ns > 0
-    assert point.write_mbps > 0
+    (client,) = point.clients
+    assert client["file_bytes"] == SMALL.file_bytes
+    assert client["write_elapsed_ns"] > 0
+    assert point.client_mbps()[0] > 0
     assert point.events_processed > 0
     # One latency sample per 8 KB write call.
-    assert len(point.latencies_ns) == SMALL.file_bytes // SMALL.chunk_bytes + 1
-    assert len(point.latency_starts_ns) == len(point.latencies_ns)
+    assert client["calls"] == SMALL.file_bytes // SMALL.chunk_bytes + 1
 
 
 def test_point_result_payload_round_trip():
     point = run_job(SMALL)
-    clone = PointResult.from_payload(point.to_payload())
+    clone = FleetPointResult.from_payload(point.to_payload())
     assert clone == point
-    assert clone.write_mbps == point.write_mbps
+    assert clone.client_mbps() == point.client_mbps()
 
 
 def test_map_preserves_spec_order():
-    specs = [
-        JobSpec(target="netapp", client="stock", file_bytes=n * 1_000_000)
-        for n in (3, 1, 2)
-    ]
+    specs = [point_spec(n * 1_000_000) for n in (3, 1, 2)]
     results = SweepExecutor(jobs=1).map(specs)
-    assert [r.file_bytes for r in results] == [3_000_000, 1_000_000, 2_000_000]
+    assert [r.total_bytes for r in results] == [3_000_000, 1_000_000, 2_000_000]
 
 
 def test_cache_hits_and_misses_interleave(tmp_path):
     cache = ResultCache(str(tmp_path))
     a = SMALL
-    b = JobSpec(target="netapp", client="stock", file_bytes=2_000_000)
+    b = point_spec(2_000_000)
     first = SweepExecutor(jobs=1, cache=cache).map([a])
     assert cache.stores == 1
     executor = SweepExecutor(jobs=1, cache=cache)
     results = executor.map([b, a, b])
-    assert [r.file_bytes for r in results] == [2_000_000, 1_000_000, 2_000_000]
+    assert [r.total_bytes for r in results] == [2_000_000, 1_000_000, 2_000_000]
     assert results[1] == first[0]
     # a was served from disk; each b was computed (the second b hits the
     # entry stored moments earlier only on a future map() call).
@@ -71,12 +74,8 @@ def test_cache_hits_and_misses_interleave(tmp_path):
 
 def test_parallel_size_sweep_matches_serial_points(tmp_path):
     sizes = [1_000_000, 2_000_000]
-    pairs = parallel_size_sweep(
-        "netapp", "stock", sizes, cache=ResultCache(str(tmp_path))
-    )
-    assert [size for size, _ in pairs] == sizes
-    for size, point in pairs:
-        direct = run_job(
-            JobSpec(target="netapp", client="stock", file_bytes=size)
-        )
-        assert point == direct
+    executor = SweepExecutor(jobs=2, cache=ResultCache(str(tmp_path)))
+    points = executor.map([point_spec(size) for size in sizes])
+    assert [point.total_bytes for point in points] == sizes
+    for size, point in zip(sizes, points):
+        assert point == run_job(point_spec(size))

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench import TestBed
-from repro.config import FilerConfig, LinuxServerConfig, NetConfig
+from repro.config import FilerConfig, NetConfig
 from repro.errors import ConfigError
 from repro.topology import ServerSpec, Topology
 from repro.units import KIB
@@ -16,6 +16,10 @@ def _result_tuple(result):
         result.close_elapsed_ns,
         tuple(result.trace.latencies_ns),
     )
+
+
+#: ``TestBed.run_sequential_write`` as a registry call.
+_SEQUENTIAL_PARAMS = {"file_bytes": 256 * KIB, "file_name": "testfile"}
 
 
 def test_testbed_exposes_historical_surface():
@@ -51,11 +55,6 @@ def test_testbed_accepts_server_spec():
     assert bed.target == "netapp"
 
 
-def test_server_and_legacy_kwargs_conflict():
-    with pytest.raises(ConfigError, match="not both"):
-        TestBed(server=ServerSpec("netapp"), filer_config=FilerConfig())
-
-
 def test_target_must_agree_with_server_kind():
     with pytest.raises(ConfigError, match="contradicts"):
         TestBed(target="linux", server=ServerSpec("netapp"))
@@ -68,33 +67,21 @@ def test_server_must_be_a_server_spec():
         TestBed(server=FilerConfig())
 
 
-def test_legacy_kwargs_warn_but_work():
-    with pytest.warns(DeprecationWarning, match="ServerSpec"):
-        bed = TestBed(target="linux", linux_config=LinuxServerConfig())
-    assert bed.target == "linux"
-
-
-def test_mismatched_legacy_kwarg_is_an_error():
-    # The old TestBed silently ignored a filer_config on a linux target.
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(ConfigError, match="ignored by target"):
-            TestBed(target="linux", filer_config=FilerConfig())
-
-
 def test_testbed_bit_identical_to_one_client_topology():
     for target in ("netapp", "linux", "local"):
         bed = TestBed(target=target)
-        via_shim = _result_tuple(bed.run_sequential_write(256 * KIB))
+        via_bed = _result_tuple(bed.run_sequential_write(256 * KIB))
         topo = Topology(clients=1, servers=(ServerSpec(target),))
-        with pytest.warns(DeprecationWarning, match="run_workload"):
-            direct = _result_tuple(topo.run_sequential_write(256 * KIB))
-        assert via_shim == direct, target
+        direct = _result_tuple(
+            topo.run_workload("sequential-write", _SEQUENTIAL_PARAMS)
+        )
+        assert via_bed == direct, target
 
 
-#: The shim's exact timings, pinned: (write, flush, close elapsed ns,
-#: first 16 hex chars of the latency-trace digest).  These are the
-#: bit-for-bit compatibility contract for the deprecated
-#: ``run_sequential_write`` surface across the workload-registry
+#: The sequential writer's exact timings, pinned: (write, flush, close
+#: elapsed ns, first 16 hex chars of the latency-trace digest).  These
+#: are the bit-for-bit compatibility contract for
+#: ``TestBed.run_sequential_write`` across the workload-registry
 #: redesign — a change here is a behaviour change, not a refactor.
 PINNED_SEQUENTIAL_WRITE = {
     "netapp": (2440562, 7413023, 7419023, "a009e2a97c2fef4d"),
@@ -116,19 +103,16 @@ def _pin_tuple(result):
     )
 
 
-def test_deprecated_shim_fingerprints_pinned():
+def test_testbed_sequential_write_fingerprints_pinned():
     for target, pinned in PINNED_SEQUENTIAL_WRITE.items():
-        topo = Topology(clients=1, servers=(ServerSpec(target),))
-        with pytest.warns(DeprecationWarning):
-            result = topo.run_sequential_write(256 * KIB)
+        result = TestBed(target=target).run_sequential_write(256 * KIB)
         assert _pin_tuple(result) == pinned, target
 
 
-def test_run_workload_matches_deprecated_shim():
-    params = {"file_bytes": 256 * KIB, "file_name": "testfile"}
+def test_run_workload_fingerprints_pinned():
     for target, pinned in PINNED_SEQUENTIAL_WRITE.items():
         topo = Topology(clients=1, servers=(ServerSpec(target),))
-        result = topo.run_workload("sequential-write", params)
+        result = topo.run_workload("sequential-write", _SEQUENTIAL_PARAMS)
         assert _pin_tuple(result) == pinned, target
 
 
@@ -145,30 +129,6 @@ def test_fleet_fingerprint_pinned():
 
     spec = FleetJobSpec.homogeneous(4, target="netapp", file_bytes=96 * KIB)
     assert run_fleet_job(spec).run_fingerprint() == PINNED_FLEET_FINGERPRINT
-
-
-def test_fleet_client_body_shim_matches_registry():
-    """The legacy per-client writer generator is a bit-identical shim."""
-    from repro.bench.workloads import client_workload_body, get_workload
-    from repro.topology.fleet import fleet_client_body
-
-    def run(body_factory):
-        topo = Topology(clients=1, servers=(ServerSpec("netapp"),))
-        stack = topo.clients[0]
-        task = topo.sim.spawn(body_factory(stack), daemon=True)
-        topo.sim.run_until(lambda: task.done)
-        assert task.error is None
-        return task.result
-
-    legacy = run(
-        lambda stack: fleet_client_body(stack, 0, 8192, 96 * KIB, True)
-    )
-    workload = get_workload(
-        "sequential-write", {"file_bytes": 96 * KIB, "chunk_bytes": 8192}
-    )
-    registry = run(lambda stack: client_workload_body(stack, workload))
-    assert legacy[0] == registry[0] and legacy[1] == registry[1]
-    assert _result_tuple(legacy[2]) == _result_tuple(registry[2])
 
 
 def test_legacy_net_inheritance_reaches_the_server():
