@@ -143,7 +143,6 @@ def replay_file(
     env: Optional[Dict[str, str]] = None,
     verify_determinism: bool = True,
     sanitize: bool = False,
-    shards: int = 0,
 ) -> CorpusReplay:
     """Load one scenario file, run it, and audit its ``expect`` block."""
     spec = load_scenario(path, env)
@@ -151,7 +150,6 @@ def replay_file(
         spec,
         verify_determinism=verify_determinism,
         sanitize=sanitize,
-        shards=shards,
     )
     return CorpusReplay(
         path=path,

@@ -11,8 +11,8 @@ Three execution shapes, chosen by the spec:
   on the switch, server schedules, slot starvation, probes;
 * **fleet** (``bed.clients > 1``): a :class:`Topology` of identical
   clients driven through :class:`FleetFaults` — the same routing object
-  the sharded engine uses, so ``shards >= 2`` can replay the identical
-  fault set under the parallel engine and assert serial equivalence;
+  the sharded engine takes, so the equivalence tests can replay the
+  identical fault set under it;
 * **sweep** (``sweep.loss_rates``): the bed re-runs once per loss rate
   (the monotone-loss shape).
 
@@ -429,7 +429,6 @@ def _execute_fleet(spec: ScenarioSpec, seed: int):
         starvations=getattr(faults, "starvations", []),
         schedules=schedules,
     )
-    ctx.fleet_job = job
     return payload, ctx
 
 
@@ -554,8 +553,6 @@ def run_spec(
     seed: Optional[int] = None,
     verify_determinism: bool = True,
     sanitize: bool = False,
-    shards: int = 0,
-    shard_transport: str = "inline",
     observe: bool = False,
 ) -> ScenarioOutcome:
     """Run one declarative scenario and audit its selected checks.
@@ -569,12 +566,6 @@ def run_spec(
     in ``outcome.observabilities``.  Only the first run is instrumented;
     the replay is not, so a matching fingerprint also proves neither
     observer perturbed the simulation.
-
-    ``shards >= 2`` (fleet specs only) additionally replays the same
-    spec — same seed, fresh faults — under the sharded parallel engine
-    and appends a ``serial-equivalence`` row comparing the two reduced
-    fleet fingerprints.  With ``sanitize`` that sharded run is audited
-    as well; its findings fold into the same ``sanitize-*`` rows.
     """
     seed = spec.seed if seed is None else seed
     san_session = None
@@ -623,9 +614,8 @@ def run_spec(
                         detail,
                     )
                 )
-    # The sanitizer rows land here once the sharded replay below has
-    # added its findings.
-    san_at = len(invariants)
+    if san_session is not None:
+        invariants.extend(_sanitizer_invariants(san_session))
     fingerprint = _fingerprint(payload)
     if verify_determinism:
         replay, _, _ = _execute(spec, seed)
@@ -637,34 +627,6 @@ def run_spec(
                 f"{fingerprint[:12]} vs replay {replay_fp[:12]}",
             )
         )
-    job = getattr(ctx, "fleet_job", None)
-    if shards >= 2 and error is None and job is not None:
-        from ..parallel.des import run_sharded_fleet
-
-        faults, _ = _fleet_faults(spec, seed, job)
-        with ExitStack() as stack:
-            if san_session is not None:
-                # Audit the sharded run too, folding its harnesses into
-                # the first run's session.
-                from ..analysis.sanitize import sanitized
-
-                sharded_san = stack.enter_context(sanitized())
-            sharded = run_sharded_fleet(
-                job, shards=shards, transport=shard_transport, faults=faults
-            )
-        if san_session is not None:
-            san_session.harnesses.extend(sharded_san.harnesses)
-        serial_fp = ctx.point.run_fingerprint()
-        sharded_fp = sharded.point.run_fingerprint()
-        invariants.append(
-            Invariant(
-                "serial-equivalence",
-                sharded_fp == serial_fp,
-                f"serial {serial_fp[:12]} vs {shards}-shard {sharded_fp[:12]}",
-            )
-        )
-    if san_session is not None:
-        invariants[san_at:san_at] = _sanitizer_invariants(san_session)
     return ScenarioOutcome(
         name=spec.name,
         seed=seed,

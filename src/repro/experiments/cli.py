@@ -113,14 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="scenario files only: run under the runtime sanitizers",
     )
-    run.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="scenario files only: replay fleet scenarios as N parallel "
-        "DES shards and audit serial equivalence (default 0 = skip)",
-    )
     corpus = sub.add_parser(
         "corpus",
         help="replay every scenario in the corpus against its pinned "
@@ -157,14 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=25,
         metavar="N",
         help="number of random scenarios to draw (default 25)",
-    )
-    fuzz.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="shard count for fleet draws' serial-equivalence audit "
-        "(default 2; 0 = skip)",
     )
     fuzz.add_argument(
         "--no-sanitize",
@@ -254,19 +238,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(load curves, knee, per-SLO verdicts) to PATH",
     )
     fleet.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help="replay the fleet as N parallel DES shards (one worker "
-        "process per client group); the replay must reproduce the serial "
-        "fingerprint bit-for-bit (default 1 = serial replay)",
-    )
-    fleet.add_argument(
         "--no-verify",
         action="store_true",
-        help="skip the second run that checks bit-for-bit determinism "
-        "(not allowed with --shards > 1, whose sharded run is that replay)",
+        help="skip the second run that checks bit-for-bit determinism",
     )
     fleet.add_argument(
         "--sanitize",
@@ -276,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="run the performance lanes (sim-core events/sec, headline "
-        "wall-clock, fleet serial-vs-sharded, cache hit rate)",
+        "wall-clock, fleet, cache hit rate)",
     )
     bench.add_argument(
         "--json",
@@ -663,7 +637,6 @@ def run_fleet(
     file_kib: int = 1024,
     chunk_bytes: int = 8192,
     stagger_us: int = 0,
-    shards: int = 1,
     verify: bool = True,
     sanitize: bool = False,
     arrivals: Optional[str] = None,
@@ -682,12 +655,6 @@ def run_fleet(
     ``verify`` the fleet runs a second, uninstrumented time and the two
     results must hash identically: the bit-for-bit contract, which also
     proves the sanitizers perturbed nothing.
-
-    ``shards > 1`` makes that second run a sharded one: client groups
-    simulate in worker processes, the switch and servers in this one,
-    and the ``serial-equivalence`` row requires the sharded reduction to
-    match the serial one bit for bit — the strongest form of the
-    contract.
 
     ``arrivals`` switches the fleet open-loop: every client releases
     sessions on its own seeded arrival process (Poisson or MMPP, sized
@@ -746,15 +713,11 @@ def run_fleet(
         arrivals=arrival_spec,
         checks=tuple(checks),
     )
-    if shards > 1 and not verify:
-        raise ValueError("shards > 1 needs verify: the sharded run is the replay")
     started = time.time()  # noqa: DET102 - wall-clock reporting only
     outcome = run_spec(
         spec,
-        verify_determinism=verify and shards == 1,
+        verify_determinism=verify,
         sanitize=sanitize,
-        shards=shards,
-        shard_transport="process",
         observe=not closed_loop,
     )
     elapsed = time.time() - started  # noqa: DET102
@@ -771,7 +734,6 @@ def run_fleet(
         )
     ]
     width = max(len(r[0]) for r in rows)
-    sharding = f", {shards} shards" if shards > 1 else ""
     if closed_loop:
         load = f"{file_kib} KiB each"
     else:
@@ -781,7 +743,7 @@ def run_fleet(
             f"{arrival_spec.duration_ns / 1e6:g} ms"
         )
     out.write(f"{clients} x {client_variant} client(s) -> {target}, "
-              f"{load}{sharding}\n")
+              f"{load}\n")
     out.write(f"{'client'.ljust(width)}  write MBps   p99 us\n")
     for name, mb, p99 in rows:
         out.write(f"{name.ljust(width)}  {mb.rjust(10)}  {p99.rjust(7)}\n")
@@ -905,7 +867,7 @@ def _write_invariants(invariants, out) -> None:
 
 
 def run_scenario_files(
-    paths: List[str], sanitize: bool = False, shards: int = 0, out=None
+    paths: List[str], sanitize: bool = False, out=None
 ) -> bool:
     """``repro-nfs run <scenario.json>``: replay declarative scenarios.
 
@@ -922,7 +884,7 @@ def run_scenario_files(
     all_ok = True
     for path in paths:
         started = time.time()  # noqa: DET102 - wall-clock reporting only
-        replay = replay_file(path, sanitize=sanitize, shards=shards)
+        replay = replay_file(path, sanitize=sanitize)
         elapsed = time.time() - started  # noqa: DET102
         verdict = "PASS" if replay.verdict_ok else "FAIL"
         out.write(
@@ -971,7 +933,6 @@ def run_corpus(
 def run_fuzz_campaign(
     seed: int,
     draws: int,
-    shards: int = 2,
     sanitize: bool = True,
     save_dir: Optional[str] = None,
     json_path: Optional[str] = None,
@@ -989,7 +950,6 @@ def run_fuzz_campaign(
         seed,
         draws,
         sanitize=sanitize,
-        shards=shards,
         corpus_root=save_dir,
     )
     elapsed = time.time() - started  # noqa: DET102
@@ -1036,10 +996,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(f"--clients must be >= 1, got {args.clients}")
         if args.file_kib < 1:
             parser.error(f"--file-kib must be >= 1, got {args.file_kib}")
-        if args.shards < 1:
-            parser.error(f"--shards must be >= 1, got {args.shards}")
-        if args.shards > 1 and args.no_verify:
-            parser.error("--shards needs the verify replay; drop --no-verify")
         ok = run_fleet(
             args.clients,
             args.target,
@@ -1047,7 +1003,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             file_kib=args.file_kib,
             chunk_bytes=args.chunk,
             stagger_us=args.stagger_us,
-            shards=args.shards,
             verify=not args.no_verify,
             sanitize=args.sanitize,
             arrivals=args.arrivals,
@@ -1092,12 +1047,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "fuzz":
         if args.draws < 1:
             parser.error(f"--draws must be >= 1, got {args.draws}")
-        if args.shards < 0:
-            parser.error(f"--shards must be >= 0, got {args.shards}")
         ok = run_fuzz_campaign(
             seed=args.seed,
             draws=args.draws,
-            shards=args.shards,
             sanitize=not args.no_sanitize,
             save_dir=args.save_dir,
             json_path=args.json_path,
@@ -1154,9 +1106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     experiment_args = [i for i in args.ids if not i.endswith(".json")]
     scenarios_ok = True
     if scenario_paths:
-        scenarios_ok = run_scenario_files(
-            scenario_paths, sanitize=args.sanitize, shards=args.shards
-        )
+        scenarios_ok = run_scenario_files(scenario_paths, sanitize=args.sanitize)
         if not experiment_args:
             return 0 if scenarios_ok else 1
     ids = experiment_ids() if "all" in experiment_args else experiment_args

@@ -43,8 +43,8 @@ Message = Tuple[int, int, Any]
 #: them canonically.
 SPAN_NAMESPACE_STRIDE = 1 << 48
 
-#: (ring capacity, timeline window_ns) shipped to each world when the
-#: parent has an active ``observed()`` session.
+#: (ring capacity, timeline window_ns) handed to each world when the
+#: caller has an active ``observed()`` session.
 ObsConfig = Optional[Tuple[int, int]]
 
 
@@ -146,7 +146,7 @@ class ClientShardWorld:
             stack.sanitizer = attach_if_active(stack)
         # Shard-side observability: this world records its own stacks
         # and the client ends of the cut links; span ids mint from the
-        # shard's namespace so the parent can merge all worlds' rings.
+        # shard's namespace so the driver can merge all worlds' rings.
         self.obs: Optional[Observability] = None
         if obs_config is not None:
             capacity, window_ns = obs_config
@@ -214,19 +214,14 @@ class ClientShardWorld:
                 rows.append(
                     (stack.index, workload.row(stack.name, *task.result))
                 )
-        findings = []
-        for stack in self.stacks:
-            if stack.sanitizer is not None:
-                findings.extend(stack.sanitizer.audit())
         return {
             "rows": rows,
             "errors": errors,
             "pending": [s.name for s, t in zip(self.stacks, self.tasks) if not t.done],
             "events": self.sim.events_processed,
-            "findings": findings,
-            # Everything the parent needs to merge this world's
-            # telemetry: raw trace records (NamedTuples pickle fine),
-            # the metrics dump, and the timeline snapshot.
+            # Everything the driver needs to merge this world's
+            # telemetry: raw trace records, the metrics dump, and the
+            # timeline snapshot.
             "obs": None
             if self.obs is None
             else {
@@ -238,7 +233,7 @@ class ClientShardWorld:
 
 
 class HubWorld:
-    """The parent-side simulation: switch, servers, client stubs."""
+    """The driver-side simulation: switch, servers, client stubs."""
 
     def __init__(
         self, plan: ShardPlan, faults: FleetFaults, obs_config: ObsConfig = None

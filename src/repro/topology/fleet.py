@@ -449,8 +449,8 @@ def _trace_sha(result: BenchmarkResult) -> str:
 
 
 def client_row(name: str, start_ns: int, end_ns: int, result: BenchmarkResult) -> Dict[str, Any]:
-    """One client's reduced row — shard workers build these locally so
-    the full latency trace never crosses the process boundary."""
+    """One client's reduced row: the full latency trace is reduced to
+    its p99, call count and digest."""
     return {
         "name": name,
         "file_bytes": result.file_bytes,
@@ -475,21 +475,11 @@ def reduce_fleet(fleet: FleetResult) -> FleetPointResult:
     )
 
 
-def run_fleet_job(
-    spec: FleetJobSpec, shards: int = 1, transport: str = "process"
-) -> FleetPointResult:
+def run_fleet_job(spec: FleetJobSpec) -> FleetPointResult:
     """Build one pristine topology, run the fleet, reduce the result.
 
     Module-level so process-pool workers can unpickle a reference to it.
-    ``shards`` is an *execution* argument, deliberately not part of the
-    spec: a sharded run must reduce to the same point (and the same
-    :meth:`FleetPointResult.run_fingerprint`) as ``shards=1``, so it
-    must not perturb the spec's cache fingerprint either.
     """
-    if shards > 1:
-        from ..parallel.des import run_sharded_fleet
-
-        return run_sharded_fleet(spec, shards=shards, transport=transport).point
     topo = Topology(
         clients=spec.clients, servers=spec.servers, switch=spec.switch
     )

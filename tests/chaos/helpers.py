@@ -3,6 +3,8 @@
 import os
 
 from repro.chaos import load_scenario, scenario_names
+from repro.chaos.runner import _fleet_faults, _fleet_job
+from repro.parallel.des import run_sharded_fleet
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "..", "scenarios")
 
@@ -16,3 +18,11 @@ def corpus_spec(name):
 def corpus_names():
     """Every top-level corpus scenario name, sorted."""
     return scenario_names(CORPUS)
+
+
+def sharded_point(spec, shards=2):
+    """Run a fleet scenario through the inline sharded engine, with the
+    same job and fresh faults the serial fleet path builds."""
+    job = _fleet_job(spec, spec.seed)
+    faults, _ = _fleet_faults(spec, spec.seed, job)
+    return run_sharded_fleet(job, shards=shards, faults=faults).point

@@ -103,8 +103,6 @@ def test_fuzz_command_writes_json_report(tmp_path, capsys):
                 "--draws",
                 "2",
                 "--no-sanitize",
-                "--shards",
-                "0",
                 "--json",
                 json_path,
             ]
@@ -230,40 +228,18 @@ def test_one_client_fleet_runs_on_the_topology_path():
     assert _rows(text)[0].startswith("files-complete-durable[")
 
 
-def test_one_client_fleet_still_gets_its_sharded_replay():
+def test_one_client_fleet_still_gets_its_determinism_replay():
     out = io.StringIO()
-    assert run_fleet(1, "linux", file_kib=64, shards=2, out=out) is True
-    assert _rows(out.getvalue())[-1] == "serial-equivalence"
+    assert run_fleet(1, "linux", file_kib=64, out=out) is True
+    assert _rows(out.getvalue())[-1] == "deterministic"
 
 
-def test_sanitized_sharded_fleet_audits_the_sharded_run(monkeypatch):
-    """A finding raised only during the sharded replay fails the
-    sanitizer rows, so ``--sanitize --shards N`` audits that run."""
-    from repro.analysis.sanitize.report import RuntimeFinding
-    from repro.analysis.sanitize.runtime import active_session
-    from repro.parallel import des
-
-    real = des.run_sharded_fleet
-
-    def sharded_with_a_race(job, shards, transport, faults):
-        outcome = real(job, shards=shards, transport="inline", faults=faults)
-        planted = RuntimeFinding("race", "planted in the sharded run")
-        active_session().harnesses.append(des.engine._ShippedFindings([planted]))
-        return outcome
-
-    monkeypatch.setattr(des, "run_sharded_fleet", sharded_with_a_race)
-    out = io.StringIO()
-    assert (
-        run_fleet(2, "linux", file_kib=64, shards=2, sanitize=True, out=out)
-        is False
-    )
-    text = out.getvalue()
-    assert "[VIOLATED] sanitize-races — [race] t=0ns: planted" in text
-    assert "[ok      ] sanitize-locks" in text
-    assert "[ok      ] serial-equivalence" in text
-
-
-def test_fleet_rejects_no_verify_with_shards():
+@pytest.mark.parametrize(
+    "argv", [["run", "fig1"], ["fuzz"], ["fleet"]], ids=["run", "fuzz", "fleet"]
+)
+def test_no_command_takes_shards(argv, capsys):
+    """Fleets run on the serial event loop only; ``--shards`` is gone."""
     with pytest.raises(SystemExit) as exc:
-        main(["fleet", "--clients", "2", "--shards", "2", "--no-verify"])
+        main(argv + ["--shards", "2"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --shards" in capsys.readouterr().err

@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from repro.chaos import fuzz, load_scenario
+from repro.analysis.sanitize.runtime import sanitized
+from repro.chaos import fuzz, load_scenario, run_spec
 from repro.chaos.fuzz import draw_spec
 from repro.chaos.schema import SCENARIO_SCHEMA, validate
 from repro.chaos.spec import ScenarioSpec
 from repro.sim import RngStreams
 
-from .helpers import corpus_spec
+from .helpers import corpus_spec, sharded_point
 
 DRAWS = 4  # enough to cover single-client and fleet shapes at seed 7
 
@@ -98,7 +99,26 @@ def test_finding_is_shrunk_and_saved_as_regression(tmp_path, monkeypatch):
 def test_default_campaign_finds_nothing_spurious():
     """A slice of the CI smoke campaign: sanitized draws at seed 1 stay
     green (the full 25-draw run lives in the CI fuzz job)."""
-    report = fuzz(seed=1, draws=6, sanitize=True, shards=2)
+    report = fuzz(seed=1, draws=6, sanitize=True)
     assert report.passed, [
         (f.draw, f.signature) for f in report.findings
     ]
+
+
+def test_fleet_draws_match_serial_under_the_sharded_engine():
+    """Serial equivalence on generated cases: every fleet draw of the
+    seed-1 campaign, faults included, reduces to the serial fingerprint
+    under the inline sharded engine, and the sanitizers find nothing in
+    the sharded run."""
+    specs = [
+        draw_spec(RngStreams(1).stream(f"fuzz/draw{i}"), f"fuzz-1-{i:03d}")
+        for i in range(8)
+    ]
+    fleets = [spec for spec in specs if spec.bed.clients > 1]
+    assert len(fleets) >= 2 and any(spec.fault_count() for spec in fleets)
+    for spec in fleets:
+        serial = run_spec(spec, verify_determinism=False)
+        with sanitized() as session:
+            sharded = sharded_point(spec)
+        assert sharded.run_fingerprint() == serial.point.run_fingerprint(), spec.name
+        assert session.findings() == [], spec.name

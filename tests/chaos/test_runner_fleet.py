@@ -3,7 +3,8 @@
 Satellite contract: the fleet crash-during-COMMIT scenario proves the
 NFSv3 verifier-mismatch path under concurrency — every client sees the
 new boot verifier, re-dirties its unstable pages, and still reaches
-durability — and the run reduces bit-identically under ``--shards``.
+durability — and the run reduces bit-identically under the sharded
+engine.
 """
 
 import pytest
@@ -21,7 +22,7 @@ from repro.chaos.spec import (
 from repro.errors import ConfigError
 from repro.units import KIB, ms
 
-from .helpers import corpus_spec
+from .helpers import corpus_spec, sharded_point
 
 
 def _inv(outcome, name):
@@ -34,14 +35,15 @@ def _inv(outcome, name):
 
 def test_fleet_crash_commit_redirties_every_client():
     spec = corpus_spec("fleet-crash-commit")
-    outcome = run_spec(spec, verify_determinism=False, shards=2)
+    outcome = run_spec(spec, verify_determinism=False)
     assert outcome.passed, [
         (i.name, i.detail) for i in outcome.invariants if not i.ok
     ]
     assert _inv(outcome, "files-complete-durable").ok
     assert _inv(outcome, "fleet-clients-redirtied").ok
-    # Sharded replay reduced to the serial fingerprint.
-    assert _inv(outcome, "serial-equivalence").ok
+    # A sharded replay reduces to the serial fingerprint.
+    sharded = sharded_point(spec)
+    assert sharded.run_fingerprint() == outcome.point.run_fingerprint()
     # The crash really lost unstable state: the server restarted with a
     # new boot verifier and every client saw the mismatch.
     assert outcome.payload["boot_verf"] == [2]
@@ -53,9 +55,10 @@ def test_fleet_crash_commit_redirties_every_client():
 
 def test_fleet_starvation_routes_to_owning_client():
     spec = corpus_spec("fleet-starved-client")
-    outcome = run_spec(spec, verify_determinism=False, shards=2)
+    outcome = run_spec(spec, verify_determinism=False)
     assert outcome.passed
-    assert _inv(outcome, "serial-equivalence").ok
+    sharded = sharded_point(spec)
+    assert sharded.run_fingerprint() == outcome.point.run_fingerprint()
 
 
 def _fleet_spec(**kwargs):

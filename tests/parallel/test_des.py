@@ -1,8 +1,8 @@
 """Sharded parallel DES: plan unit tests and the equivalence contract.
 
 The load-bearing property is *bit-identical fingerprints*: for any
-shard count, transport, fault schedule or sanitizer setting, a sharded
-run must reduce to exactly the serial
+shard count, fault schedule or sanitizer setting, a sharded run must
+reduce to exactly the serial
 :meth:`~repro.topology.fleet.FleetPointResult.run_fingerprint`.
 """
 
@@ -127,19 +127,10 @@ def test_sharded_matches_serial_linux_target_with_stagger():
     assert out.point.run_fingerprint() == serial.run_fingerprint()
 
 
-def test_process_transport_matches_serial():
-    spec = FleetJobSpec.homogeneous(4, target="netapp", file_bytes=SMALL)
-    serial = run_fleet_job(spec)
-    out = run_sharded_fleet(spec, shards=2, transport="process")
-    assert out.point.run_fingerprint() == serial.run_fingerprint()
-
-
-def test_run_fleet_job_shards_argument_round_trips():
-    spec = FleetJobSpec.homogeneous(3, target="netapp", file_bytes=SMALL)
-    assert (
-        run_fleet_job(spec, shards=3, transport="inline").run_fingerprint()
-        == run_fleet_job(spec).run_fingerprint()
-    )
+def test_inline_is_the_only_transport():
+    spec = FleetJobSpec.homogeneous(2, target="netapp", file_bytes=SMALL)
+    with pytest.raises(ConfigError, match="unknown shard transport 'process'"):
+        run_sharded_fleet(spec, shards=2, transport="process")
 
 
 def _burst_faults():
@@ -174,7 +165,7 @@ def test_sharded_matches_serial_under_sanitizers():
         serial = serial_point(spec)
         serial_groups = {k: len(v) for k, v in serial_session.grouped().items()}
     with sanitized() as shard_session:
-        out = run_sharded_fleet(spec, shards=2, transport="process")
+        out = run_sharded_fleet(spec, shards=2, transport="inline")
         shard_groups = {k: len(v) for k, v in shard_session.grouped().items()}
     assert out.point.run_fingerprint() == serial.run_fingerprint()
     assert shard_groups == serial_groups
@@ -225,7 +216,7 @@ def _export_bundle(obs):
 
 
 @pytest.mark.parametrize(
-    "shards,transport", [(2, "inline"), (3, "inline"), (2, "process")]
+    "shards,transport", [(2, "inline"), (3, "inline")]
 )
 def test_observed_sharded_exports_byte_identical(shards, transport):
     spec = FleetJobSpec.homogeneous(4, target="netapp", file_bytes=SMALL)
@@ -361,32 +352,3 @@ def test_idle_shard_skip_matches_serial_under_faults(monkeypatch):
     assert [label for _t, label in out.schedules[0].log] == ["crash", "restart"]
     assert out.point.run_fingerprint() == serial.run_fingerprint()
     assert serial.run_fingerprint() != serial_point(spec).run_fingerprint()
-
-
-# -- a hung process worker ----------------------------------------------------
-
-
-def _hung_worker_main(conn, *args):
-    import time
-
-    time.sleep(3600)
-
-
-def test_hung_process_worker_is_terminated(monkeypatch):
-    import time
-
-    from repro.parallel.des import engine
-
-    monkeypatch.setattr(engine, "_worker_main", _hung_worker_main)
-    monkeypatch.setattr(engine, "WORKER_REPLY_DEADLINE_S", 0.5)
-    spec = FleetJobSpec.homogeneous(2, file_bytes=SMALL)
-    worker = engine.ProcessWorker(build_plan(spec, 2), 1, FleetFaults(), None)
-    try:
-        worker.send_window(ms(1), [])
-        started = time.monotonic()
-        with pytest.raises(ConfigError, match="shard 1 worker sent no reply"):
-            worker.recv_window()
-        assert time.monotonic() - started < 30
-        assert not worker.process.is_alive()
-    finally:
-        worker.close()

@@ -1,6 +1,9 @@
 """Unit tests for SweepExecutor mechanics over one-client fleet points."""
 
+import os
 import pickle
+import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -79,3 +82,18 @@ def test_parallel_size_sweep_matches_serial_points(tmp_path):
     assert [point.total_bytes for point in points] == sizes
     for size, point in zip(sizes, points):
         assert point == run_job(point_spec(size))
+
+
+def _killed_worker(spec):
+    os._exit(3)
+
+
+def test_killed_worker_breaks_the_sweep_instead_of_hanging(monkeypatch):
+    """A pool worker that dies mid-point fails the sweep promptly."""
+    from repro.parallel import executor
+
+    monkeypatch.setattr(executor, "run_job", _killed_worker)
+    started = time.monotonic()
+    with pytest.raises(BrokenProcessPool):
+        SweepExecutor(jobs=2).map([point_spec(64 * 1024), point_spec(128 * 1024)])
+    assert time.monotonic() - started < 10
